@@ -20,8 +20,10 @@ from .errors import (
     DuplicateAbscissa,
     DuplicatePoints,
     FieldOrderMismatch,
+    FieldTooLarge,
     GammaInKernel,
     IndexOutsideBasis,
+    InvalidSymbol,
     LambdaTooSmall,
     LengthMismatch,
     LevelOutOfRange,
@@ -41,26 +43,15 @@ from .fields import (
     default_subspace_basis,
     element_of_order,
     enumerate_coset_points,
-    field_new,
     get_field,
     infer_subfield_order,
     linearized_polynomial,
-)
-from .poly import (
-    lagrange_interpolate,
-    poly_derivative,
-    poly_eval,
-    poly_mul,
 )
 from .gfft import (
     GfftPlan,
     composite_derivative,
     dit_exponents,
-    gfft_forward,
-    gfft_inverse,
-    local_column_transform,
     plan_build,
-    sub_plan,
 )
 from .folding import (
     burst_span,
@@ -69,8 +60,6 @@ from .folding import (
     is_burst,
     is_cyclic_burst,
     row_dims,
-    tau_forward,
-    tau_inverse,
     unfold,
 )
 from .rs import (
@@ -79,15 +68,12 @@ from .rs import (
     check_polynomial,
     erasure_decode,
     longest_root_run,
-    rs_encode,
-    rs_new,
     syndrome,
     wu_decode,
     wu_decode_batch,
 )
 from .decoders import (
     UniqueOutcome,
-    default_list_radius,
     default_unique_radius,
     interleaved_list_decode,
     interleaved_unique_decode,
@@ -96,23 +82,11 @@ from .decoders import (
     unique_decode,
     unique_decode_batch,
 )
-from .cli import (
-    oracle_decode,
-    wilson_interval,
-)
 from .hermitian import (
     HermitianCode,
     HermitianCurve,
-    ag_default_list_radius,
-    ag_default_unique_radius,
-    ag_encode,
-    ag_list_decode,
-    ag_tau,
-    ag_tau_inverse,
     ag_unique_decode,
     ag_unique_decode_batch,
-    curve_new,
-    hermitian_code,
     rr_basis,
     staircase_dims,
 )

@@ -21,23 +21,14 @@ import numpy as np
 from .errors import (
     BurstfoldError,
     FieldOrderMismatch,
+    InvalidSymbol,
     LengthMismatch,
-    NotACodeword,
-    WindowTooLong,
 )
-from .fields import AffineGroupSpec, Field, default_subspace_basis, get_field
+from .fields import AffineGroupSpec, Field, default_subspace_basis
 from .gfft import plan_build
-from .rs import rs_new, wu_decode
-from .decoders import (
-    list_decode,
-    unique_decode_batch,
-)
-from .hermitian import (
-    ag_list_decode,
-    ag_unique_decode_batch,
-    curve_new,
-    hermitian_code,
-)
+from .rs import RsCode, wu_decode
+from .decoders import list_decode, unique_decode_batch
+from .hermitian import HermitianCode, HermitianCurve
 
 Z95 = 1.959963984540054
 
@@ -48,7 +39,7 @@ Z95 = 1.959963984540054
 
 def read_words(path: str, field: Field | None = None):
     """Returns a list of int64 arrays; validates the header against field
-    when both are present."""
+    when both are present, and every symbol: a hex code in [0, q)."""
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -72,7 +63,15 @@ def read_words(path: str, field: Field | None = None):
             if words[-1]:
                 words.append([])
             continue
-        words[-1].append(int(line, 16))
+        try:
+            v = int(line, 16)
+        except ValueError:
+            v = -1
+        if v < 0 or (field is not None and v >= field.q):
+            raise InvalidSymbol(
+                f"{path}: {line!r} is not the hex code of a field element"
+                + (f" of GF({field.q})" if field is not None else ""))
+        words[-1].append(v)
     if not words[-1]:
         words.pop()
     if not words:
@@ -112,7 +111,7 @@ def build_code(args):
     F = Field.parse(args.field)
     group = AffineGroupSpec.parse(F, args.group)
     plan = plan_build(F, group)
-    return F, rs_new(plan, args.k)
+    return F, RsCode(plan, args.k)
 
 
 def plant_index_burst(F, rng, word, length, start):
@@ -156,50 +155,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z95):
     return (centre - rad) / denom, (centre + rad) / denom
 
 
-def oracle_decode(code, received, window):
-    """Reference erasure decoder: barycentric Lagrange interpolation from the
-    first k intact positions, with a consistency check over the rest.  Shares
-    no machinery with the chain-transform fast path; used to cross-check
-    erasure_decode.  Returns the codeword; raises WindowTooLong or
-    NotACodeword just like the fast path."""
-    start, length = window
-    n, k = code.n, code.k
-    if length > n - k:
-        raise WindowTooLong(
-            f"window length {length} exceeds n-k = {n - k}")
-    if length < 0 or start < 0 or start + length > n:
-        raise WindowTooLong("window out of range")
-    F = code.plan.field
-    rcv = np.asarray(received, dtype=np.int64)
-    keep = np.concatenate([np.arange(0, start),
-                           np.arange(start + length, n)])
-    nodes_idx, check_idx = keep[:k], keep[k:]
-    pts = code.plan.points
-    x, y = pts[nodes_idx], rcv[nodes_idx]
-    diff = F.sub(x[:, None], x[None, :])
-    np.fill_diagonal(diff, 1)
-    w = np.ones(k, dtype=np.int64)
-    for i in range(k):
-        w = F.mul(w, diff[:, i])
-    w = F.inv(w)
-    other = np.concatenate([check_idx,
-                            np.arange(start, start + length)])
-    tgt = pts[other]
-    m = F.sub(tgt[:, None], x[None, :])
-    ell = np.ones(tgt.shape[0], dtype=np.int64)
-    acc = np.zeros(tgt.shape[0], dtype=np.int64)
-    wy = F.mul(w, y)
-    for j in range(k):
-        ell = F.mul(ell, m[:, j])
-        acc = F.add(acc, F.mul(wy[j], F.inv(m[:, j])))
-    vals = F.mul(ell, acc)
-    cand = np.array(rcv)
-    cand[other] = vals
-    if not np.array_equal(cand[check_idx], rcv[check_idx]):
-        raise NotACodeword("received word inconsistent outside the window")
-    return cand
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -227,7 +182,7 @@ def cmd_corrupt(args) -> int:
             raise BurstfoldError("--cyclic needs --group to fix the "
                                  "exponent order")
         plan = plan_build(F, AffineGroupSpec.parse(F, args.group))
-        code = rs_new(plan, 1)
+        code = RsCode(plan, 1)
     for w in words:
         if args.cyclic:
             start = args.start if args.start is not None \
@@ -245,95 +200,65 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def _check_lengths(words, n: int) -> None:
-    for w in words:
-        if w.shape[0] != n:
-            raise LengthMismatch(
-                f"word has {w.shape[0]} symbols, expected n={n}")
-
-
-def _emit_word(code, codeword, emit: str):
-    if emit == "message":
-        return code.coefficients(codeword)[:code.k]
-    return codeword
-
-
-def cmd_decode(args) -> int:
-    F, code = build_code(args)
+def _decode_words(args, code, level) -> int:
+    """decode / ag-decode: decode every word of args.infile with args.mode
+    at the fold level, write the results and return the exit code."""
+    F = code.plan.field
     words = read_words(args.infile, F)
-    _check_lengths(words, code.n)
-    if args.mode == "wu":
-        results, good, failed = [], [], 0
-        for w in words:
-            o = wu_decode(code, w, e=args.e)
-            if o.status == "ok":
-                good.append(_emit_word(code, o.codeword, args.emit))
-            else:
-                failed += 1
-            results.append({"status": o.status,
-                            "window": list(o.window) if o.window else None,
-                            "run": o.run_length,
-                            "ambiguous": o.ambiguous})
-        if args.format == "json":
-            write_text(args.outfile, json.dumps({"mode": "wu",
-                                                 "results": results}) + "\n")
-        elif good:
-            write_words(args.outfile, F, good)
-        else:
-            write_text(args.outfile, "")
-        for i, r in enumerate(results):
-            print(f"word {i}: status={r['status']} window={r['window']}",
-                  file=sys.stderr)
-        return 0 if failed == 0 else 1
+    for w in words:
+        if w.shape[0] != code.n:
+            raise LengthMismatch(
+                f"word has {w.shape[0]} symbols, expected n={code.n}")
     if args.mode == "list":
-        blocks, total = [], 0
-        for w in words:
-            cands = list_decode(code, w, args.fold_level, radius=args.radius)
-            total += len(cands)
-            blocks.append(cands)
-        if args.format == "json":
-            payload = [[[int(v) for v in c] for c in cands]
-                       for cands in blocks]
-            write_text(args.outfile,
-                       json.dumps({"mode": "list",
-                                   "candidates": payload}) + "\n")
+        blocks = [list_decode(code, w, level, radius=args.radius)
+                  for w in words]
+        good = [c for cands in blocks for c in cands]
+        doc = {"mode": "list",
+               "candidates": [[[int(v) for v in c] for c in cands]
+                              for cands in blocks]}
+        status = [f"candidates={len(good)}"]
+        failed = not good
+    else:
+        if args.mode == "wu":
+            outs = [wu_decode(code, w, e=args.e) for w in words]
         else:
-            flat = [c for cands in blocks for c in cands]
-            if flat:
-                write_words(args.outfile, F, flat)
-            else:
-                write_text(args.outfile, "")
-        print(f"candidates={total}", file=sys.stderr)
-        return 0 if total else 1
-    outs = unique_decode_batch(code, np.stack(words), args.fold_level,
-                               e=args.e, radius=args.radius,
-                               strict=args.strict)
-    results, good, failed = [], [], 0
-    for o in outs:
-        if o.status == "ok":
-            good.append(_emit_word(code, o.codeword, args.emit))
-        else:
-            failed += 1
-        results.append({"status": o.status,
-                        "window": list(o.col_window) if o.col_window else None,
-                        "ambiguous": o.ambiguous})
-    if args.format == "json":
-        for r, o in zip(results, outs):
+            outs = unique_decode_batch(code, np.stack(words), level,
+                                       e=args.e, radius=args.radius,
+                                       strict=args.strict)
+        good, results = [], []
+        for o in outs:
+            window = o.window if args.mode == "wu" else o.col_window
+            r = {"status": o.status,
+                 "window": list(window) if window else None}
+            if args.mode == "wu":
+                r["run"] = o.run_length
+            r["ambiguous"] = o.ambiguous
             if o.status == "ok":
-                r["codeword"] = [int(v) for v in o.codeword]
-                r["message"] = [int(v)
-                                for v in code.coefficients(o.codeword)
-                                [:code.k]]
-        write_text(args.outfile, json.dumps({"mode": "unique",
-                                             "results": results}) + "\n")
+                good.append(code.message_from_word(o.codeword)
+                            if args.emit == "message" else o.codeword)
+                if args.mode == "unique" and args.format == "json":
+                    r["codeword"] = [int(v) for v in o.codeword]
+                    r["message"] = [int(v) for v in
+                                    code.message_from_word(o.codeword)]
+            results.append(r)
+        doc = {"mode": args.mode, "results": results}
+        status = [f"word {i}: status={r['status']} window={r['window']}"
+                  for i, r in enumerate(results)]
+        failed = len(good) < len(outs)
+    if args.format == "json":
+        write_text(args.outfile, json.dumps(doc) + "\n")
     elif good:
         write_words(args.outfile, F, good)
     else:
         write_text(args.outfile, "")
-    for i, r in enumerate(results):
-        print(f"word {i}: status={r['status']} window={r['window']}",
-              file=sys.stderr)
-    return 0 if failed == 0 else 1
+    for line in status:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
+
+
+def cmd_decode(args) -> int:
+    _, code = build_code(args)
+    return _decode_words(args, code, args.fold_level)
 
 
 def _mc_trial(code, args, t):
@@ -427,7 +352,7 @@ def cmd_bench(args) -> int:
             med = _bench_once(lambda: plan.forward(data))
         else:
             k = n // 4
-            code = rs_new(plan, k)
+            code = RsCode(plan, k)
             level = w - args.log2_cols
             msg = rng.integers(0, F.q, k)
             cw = code.encode(msg)
@@ -443,10 +368,9 @@ def cmd_bench(args) -> int:
 
 def build_ag(args):
     F = Field.parse(args.field)
-    kappa = args.kappa
-    curve = curve_new(F, kappa)
+    curve = HermitianCurve(F, args.kappa)
     base = plan_build(F, AffineGroupSpec.parse(F, args.group))
-    return F, hermitian_code(curve, base, args.order_bound)
+    return F, HermitianCode(curve, base, args.order_bound)
 
 
 def cmd_ag_encode(args) -> int:
@@ -458,36 +382,9 @@ def cmd_ag_encode(args) -> int:
 
 
 def cmd_ag_decode(args) -> int:
-    F, code = build_ag(args)
-    words = read_words(args.infile, F)
-    _check_lengths(words, code.n)
+    _, code = build_ag(args)
     level = args.level if args.level is not None else code.curve.rc
-    if args.mode == "list":
-        total, flat = 0, []
-        for w in words:
-            cands = ag_list_decode(code, w, level, radius=args.radius)
-            total += len(cands)
-            flat.extend(cands)
-        if flat:
-            write_words(args.outfile, F, flat)
-        else:
-            write_text(args.outfile, "")
-        print(f"candidates={total}", file=sys.stderr)
-        return 0 if total else 1
-    outs = ag_unique_decode_batch(code, np.stack(words), level, e=args.e,
-                                  radius=args.radius, strict=args.strict)
-    good = [o.codeword if args.emit == "codeword"
-            else code.message_from_word(o.codeword)
-            for o in outs if o.status == "ok"]
-    failed = sum(o.status != "ok" for o in outs)
-    if good:
-        write_words(args.outfile, F, good)
-    else:
-        write_text(args.outfile, "")
-    for i, o in enumerate(outs):
-        print(f"word {i}: status={o.status} window={o.col_window}",
-              file=sys.stderr)
-    return 0 if failed == 0 else 1
+    return _decode_words(args, code, level)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--emit", choices=["codeword", "message"],
                     default="codeword")
     _add_io(sp)
-    sp.set_defaults(fn=cmd_ag_decode)
+    sp.set_defaults(fn=cmd_ag_decode, format="hex")
     return ap
 
 

@@ -22,16 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInfeasible, DetectedFailure
-from .folding import folded_burst_bound, row_dims
+from .folding import folded_burst_bound
 from .gfft import GfftPlan
-from .rs import (
-    RsCode,
-    erasure_fill_batch,
-    plan_cyclic_window_tables,
-    plan_window_tables,
-    rs_new,
-    wu_decode_batch,
-)
+from .rs import RsCode, erasure_fill_batch, plan_window_tables, wu_decode_batch
 
 
 @dataclass
@@ -130,7 +123,8 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
     if min(dims) < 1:
         raise ConfigInfeasible("every row needs dimension >= 1")
     sub = row_plan if row_plan is not None else plan.sub_plan(fold_level)
-    if sub.cyclic_params() is None:
+    cyc = sub.cyclic()
+    if cyc is None or not np.array_equal(cyc[2], np.arange(sub.n)):
         raise ConfigInfeasible(
             "fold level quotient is not cyclic in natural order; "
             "burst localization needs points[j] = xi*alpha^j there")
@@ -146,7 +140,7 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
     B = rcv.shape[0]
     rows_flat = plan.tau_forward(fold_level, rcv).reshape(B * m, n_s)
     classes = _row_classes(dims, B, m)
-    row_codes = {kd: rs_new(sub, kd) for kd in classes}
+    row_codes = {kd: RsCode(sub, kd) for kd in classes}
     row_ok = np.zeros(B * m, dtype=bool)
     row_start = np.zeros(B * m, dtype=np.int64)
     row_len = np.zeros(B * m, dtype=np.int64)
@@ -201,7 +195,8 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
             top = max(votes.values())
             cover = min(w for w, c in votes.items() if c == top)
         col_windows[t] = cover
-        mask, lam, lamp = plan_cyclic_window_tables(sub, cover[0], cover[1])
+        mask, lam, lamp = plan_window_tables(sub, cover[0], cover[1],
+                                             cyclic=True)
         for i in range(m):
             c, _, ok1 = erasure_fill_batch(
                 sub, rows_flat[t * m + i], mask, lam, lamp,
@@ -224,42 +219,35 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
 
 
 # ---------------------------------------------------------------------------
-# Reed-Solomon front ends
+# Front ends
 # ---------------------------------------------------------------------------
+# A code object here is an RsCode or a HermitianCode: anything with plan, n,
+# fold_dims(level), row_plan(level), default_list_radius(level) and
+# message_from_word(word).
 
-def default_list_radius(code: RsCode, fold_level: int) -> int:
-    return code.n - code.k - 2 * code.plan.block_size(fold_level)
-
-
-def default_unique_radius(code: RsCode, fold_level: int, e: int) -> int:
+def default_unique_radius(code, fold_level: int, e: int) -> int:
     m = code.plan.block_size(fold_level)
-    n_s = code.n // m
-    kmax = max(row_dims(code.k, m))
-    return m * (n_s - kmax - e - 2) - 1
+    return m * (code.n // m - max(code.fold_dims(fold_level)) - e - 2) - 1
 
 
-def list_decode(code: RsCode, received, fold_level: int,
-                radius: int | None = None):
+def list_decode(code, received, fold_level: int, radius: int | None = None):
     """All codewords within an index-burst of the given radius; the
-    transmitted word is guaranteed to appear when its burst fits."""
+    transmitted word is guaranteed to appear when its burst fits.  A batch
+    of words gives one list per word."""
     if radius is None:
-        radius = default_list_radius(code, fold_level)
-    dims = row_dims(code.k, code.plan.block_size(fold_level))
-    return interleaved_list_decode(code.plan, fold_level, dims, received,
-                                   radius)
+        radius = code.default_list_radius(fold_level)
+    return interleaved_list_decode(
+        code.plan, fold_level, code.fold_dims(fold_level), received, radius,
+        row_plan=code.row_plan(fold_level))
 
 
-def list_decode_batch(code: RsCode, received, fold_level: int,
+def list_decode_batch(code, received, fold_level: int,
                       radius: int | None = None):
-    if radius is None:
-        radius = default_list_radius(code, fold_level)
-    dims = row_dims(code.k, code.plan.block_size(fold_level))
-    rcv = np.asarray(received, dtype=np.int64)
-    return interleaved_list_decode(code.plan, fold_level, dims,
-                                   rcv.reshape(-1, code.n), radius)
+    rcv = np.asarray(received, dtype=np.int64).reshape(-1, code.n)
+    return list_decode(code, rcv, fold_level, radius)
 
 
-def unique_decode(code: RsCode, received, fold_level: int, e: int = 1,
+def unique_decode(code, received, fold_level: int, e: int = 1,
                   radius: int | None = None, strict: bool = False):
     """Single-answer burst decoding; raises DetectedFailure when the rows
     cannot agree on a correction.  Returns (message, codeword, outcome)."""
@@ -268,15 +256,14 @@ def unique_decode(code: RsCode, received, fold_level: int, e: int = 1,
     if out.status != "ok":
         raise DetectedFailure(
             f"burst decoding failed (column window {out.col_window})")
-    message = code.plan.inverse(out.codeword)[:code.k]
-    return message, out.codeword, out
+    return code.message_from_word(out.codeword), out.codeword, out
 
 
-def unique_decode_batch(code: RsCode, received, fold_level: int, e: int = 1,
+def unique_decode_batch(code, received, fold_level: int, e: int = 1,
                         radius: int | None = None, strict: bool = False):
     if radius is None:
         radius = default_unique_radius(code, fold_level, e)
-    dims = row_dims(code.k, code.plan.block_size(fold_level))
     rcv = np.asarray(received, dtype=np.int64).reshape(-1, code.n)
-    return interleaved_unique_decode(code.plan, fold_level, dims, rcv,
-                                     e=e, radius=radius, strict=strict)
+    return interleaved_unique_decode(
+        code.plan, fold_level, code.fold_dims(fold_level), rcv, e=e,
+        radius=radius, strict=strict, row_plan=code.row_plan(fold_level))

@@ -20,6 +20,10 @@ class ReducibleModulus(BurstfoldError):
     """Supplied modulus polynomial is not irreducible over GF(p)."""
 
 
+class FieldTooLarge(BurstfoldError):
+    """Field has more elements than the arithmetic tables support."""
+
+
 class DivisionByZero(BurstfoldError):
     """Division or inversion of the zero element."""
 
@@ -108,3 +112,9 @@ class LambdaTooSmall(BurstfoldError):
 
 class IndexOutsideBasis(BurstfoldError):
     """Message index falls outside the function-space basis."""
+
+
+# --- word files ---
+
+class InvalidSymbol(BurstfoldError):
+    """A word-file line is not the hex code of a field element."""

@@ -6,9 +6,10 @@ bit-packing and addition is XOR.  All arithmetic methods accept either
 python ints or numpy int64 arrays (elementwise, broadcasting allowed)
 and return the same kind.
 
-For q = p^d up to TABLE_LIMIT a discrete exp/log table pair is built once
-per field (fields are cached), which makes multiplication, inversion and
-powering O(1) table lookups and keeps the hot paths fully vectorized.
+A discrete exp/log table pair is built once per field (fields are cached),
+which makes multiplication, inversion and powering O(1) table lookups and
+keeps the hot paths fully vectorized.  Fields above TABLE_LIMIT elements are
+rejected.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from .errors import (
     DependentBasis,
     DivisionByZero,
     DuplicatePoints,
+    FieldTooLarge,
     GammaInKernel,
     NonPrimeCharacteristic,
     NoSuchOrder,
     ReducibleModulus,
 )
 
-# Largest field for which exp/log tables are materialized.  2^20 entries of
-# int64 is 8 MB per table; fields beyond that are not exercised here.
+# Largest field supported: its exp/log tables are materialized, and 2^20
+# entries of int64 is 8 MB per table.
 TABLE_LIMIT = 1 << 20
 
 # Conway-free default moduli (lexicographically smallest irreducible would do;
@@ -204,6 +206,9 @@ class Field:
         self.p = p
         self.d = d
         self.q = p ** d
+        if self.q > TABLE_LIMIT:
+            raise FieldTooLarge(
+                f"GF({p}^{d}) has more than {TABLE_LIMIT} elements")
         if d == 1:
             self.modulus = None
         else:
@@ -214,11 +219,7 @@ class Field:
                     f"0x{modulus:x} is reducible over GF({p})"
                 )
             self.modulus = modulus
-        self._exp = None
-        self._log = None
-        self._generator = None
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     # -- construction-time scalar arithmetic (no tables yet) --
 
@@ -273,7 +274,7 @@ class Field:
     def _build_tables(self) -> None:
         q = self.q
         g = self._find_generator()
-        self._generator = g
+        self.generator = g
         exp = np.zeros(2 * (q - 1), dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         x = 1
@@ -336,8 +337,6 @@ class Field:
         if isinstance(a, (int, np.integer)):
             if a == 0:
                 raise DivisionByZero("inverse of zero")
-            if self.d == 1 and self._exp is None:
-                return pow(int(a), q - 2, q)
             return int(self._exp[q - 1 - self._log[a]])
         a = np.asarray(a)
         if np.any(a == 0):
@@ -357,8 +356,6 @@ class Field:
                 if e < 0:
                     raise DivisionByZero("0 to a negative power")
                 return 0
-            if self._exp is None:
-                return self._scalar_pow(int(a), e % q1)
             return int(self._exp[(self._log[a] * (e % q1)) % q1])
         a = np.asarray(a)
         if e < 0 and np.any(a == 0):
@@ -373,39 +370,17 @@ class Field:
         """[first, first*ratio, ..., first*ratio^(n-1)] for nonzero arguments."""
         if ratio == 0 or first == 0:
             raise DivisionByZero("geometric progression needs unit arguments")
-        if self._exp is not None:
-            q1 = self.q - 1
-            e = (self._log[first] + self._log[ratio] * np.arange(n, dtype=np.int64)) % q1
-            return self._exp[e]
-        out = np.empty(n, dtype=np.int64)
-        x = first
-        for i in range(n):
-            out[i] = x
-            x = self._scalar_mul(x, ratio)
-        return out
+        q1 = self.q - 1
+        e = (self._log[first] + self._log[ratio] * np.arange(n, dtype=np.int64)) % q1
+        return self._exp[e]
 
     # -- structure --
-
-    @property
-    def generator(self) -> int:
-        if self._generator is None:
-            self._generator = self._find_generator()
-        return self._generator
 
     def order_of(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("zero has no multiplicative order")
         q1 = self.q - 1
-        return q1 // math.gcd(q1, int(self._log[a]) if self._exp is not None
-                              else self._slow_log(a))
-
-    def _slow_log(self, a: int) -> int:
-        x, g = 1, self.generator
-        for i in range(self.q - 1):
-            if x == a:
-                return i
-            x = self._scalar_mul(x, g)
-        raise DivisionByZero("element not in multiplicative group")
+        return q1 // math.gcd(q1, int(self._log[a]))
 
     def subfield_elements(self, ell: int) -> np.ndarray:
         """All codes of the subfield GF(ell), ascending; ell = p^s with s | d."""
@@ -467,10 +442,6 @@ def _get_field_cached(p: int, d: int, modulus) -> Field:
 def get_field(p: int, d: int = 1, modulus: int | None = None) -> Field:
     """Cached Field constructor (table building is the expensive part)."""
     return _get_field_cached(p, d, modulus)
-
-
-def field_new(p: int, d: int = 1, modulus: int | None = None) -> Field:
-    return get_field(p, d, modulus)
 
 
 def element_of_order(field: Field, n: int) -> int:

@@ -2,8 +2,8 @@
 
 fold writes the vector down the columns: entry (i, j) = v[j*m + i], so a
 contiguous burst of length L in v touches at most floor(L/m) + 2 adjacent
-columns.  tau_forward/tau_inverse are the transform-domain version: they
-fold a codeword's *component polynomials* (not its raw symbols) onto the
+columns.  GfftPlan.tau_forward/tau_inverse are the transform-domain version:
+they fold a codeword's *component polynomials* (not its raw symbols) onto the
 quotient point set of a plan level, which is what turns one long code into
 a short interleaved one.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonDivisor
-from .gfft import GfftPlan
 
 
 def fold(vec, m: int) -> np.ndarray:
@@ -28,14 +27,6 @@ def unfold(mat) -> np.ndarray:
     M = np.asarray(mat, dtype=np.int64)
     m, cols = M.shape[-2], M.shape[-1]
     return np.swapaxes(M, -1, -2).reshape(M.shape[:-2] + (m * cols,))
-
-
-def tau_forward(plan: GfftPlan, s: int, values):
-    return plan.tau_forward(s, values)
-
-
-def tau_inverse(plan: GfftPlan, s: int, mat):
-    return plan.tau_inverse(s, mat)
 
 
 def row_dims(k: int, m: int) -> list[int]:

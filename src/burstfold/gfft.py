@@ -150,7 +150,10 @@ class GfftPlan:
         self._drev_cache: dict[int, np.ndarray] = {}
         self._sub_cache: dict[int, GfftPlan] = {}
         self._vpow_cache: dict[int, np.ndarray] = {}
-        self._cyclic = -1  # lazily computed
+        self._cyclic = -1  # lazily computed by cyclic()
+        # (cyclic, start, length) -> (mask, lam, lamp); see
+        # rs.plan_window_tables
+        self._window_cache: dict[tuple, tuple] = {}
 
     # -- setup --
 
@@ -216,22 +219,24 @@ class GfftPlan:
             raise LevelOutOfRange(f"level {s} not in 0..{self.depth}")
         return self.ms[s]
 
-    def cyclic_params(self):
-        """(xi, alpha) if points[j] = xi * alpha^j exactly, else None."""
+    def cyclic(self):
+        """(xi, alpha, exps, pos_of) when points[j] = xi * alpha^exps[j] with
+        exps the chain's decimation-in-time exponent pattern (dit_exponents)
+        and pos_of its inverse permutation; None otherwise.  The points are
+        in natural order, points[j] = xi * alpha^j, iff exps is the
+        identity."""
         if self._cyclic == -1:
             self._cyclic = None
             pts = self.points
-            if self.n >= 1 and np.all(pts != 0):
+            if np.all(pts != 0):
                 F = self.field
+                exps = dit_exponents(self.factors)
+                pos_of = np.argsort(exps)
                 xi = int(pts[0])
-                if self.n == 1:
-                    self._cyclic = (xi, 1)
-                else:
-                    alpha = F.div(int(pts[1]), xi)
-                    if (F.pow(alpha, self.n) == 1
-                            and np.array_equal(
-                                pts, F.geometric(alpha, self.n, first=xi))):
-                        self._cyclic = (xi, alpha)
+                alpha = F.div(int(pts[pos_of[1]]), xi) if self.n > 1 else 1
+                if F.pow(alpha, self.n) == 1 and np.array_equal(
+                        pts, F.geometric(alpha, self.n, first=xi)[exps]):
+                    self._cyclic = (xi, alpha, exps, pos_of)
         return self._cyclic
 
     # -- core engine --
@@ -468,19 +473,3 @@ def composite_derivative(plan: GfftPlan, coeffs):
                                 F.mul(B[:, src], scale[None, :]))
     return D[0] if single else D
 
-
-def gfft_forward(plan: GfftPlan, coeffs):
-    return plan.forward(coeffs)
-
-
-def gfft_inverse(plan: GfftPlan, values):
-    return plan.inverse(values)
-
-
-def sub_plan(plan: GfftPlan, s: int) -> GfftPlan:
-    return plan.sub_plan(s)
-
-
-def local_column_transform(plan: GfftPlan, s: int, block: int, vec,
-                           inverse: bool = False):
-    return plan.local_column_transform(s, block, vec, inverse=inverse)

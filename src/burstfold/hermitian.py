@@ -22,13 +22,12 @@ import numpy as np
 
 from .errors import (
     ConfigInfeasible,
-    DetectedFailure,
     DimensionOutOfRange,
     FieldOrderMismatch,
     IndexOutsideBasis,
     LambdaTooSmall,
 )
-from .decoders import interleaved_list_decode, interleaved_unique_decode
+from .decoders import unique_decode, unique_decode_batch
 from .fields import Field, linearized_polynomial
 from .folding import row_dims
 from .gfft import GfftPlan
@@ -86,10 +85,6 @@ class HermitianCurve:
             vals = np.concatenate(
                 [F.add(vals, F.mul(c, w)) for c in range(F.p)])
         return vals
-
-
-def curve_new(field: Field, kappa: int) -> HermitianCurve:
-    return HermitianCurve(field, kappa)
 
 
 def rr_basis(curve: HermitianCurve, order_bound: int,
@@ -174,9 +169,6 @@ class HermitianCode:
         co[..., self.basis_indices] = msg
         return self.plan.forward(co)
 
-    def coefficients(self, word):
-        return self.plan.inverse(word)
-
     def message_from_word(self, word):
         return self.plan.inverse(word)[..., self.basis_indices]
 
@@ -200,6 +192,12 @@ class HermitianCode:
                 dims.append(row_dims(self.dims_y[u], m_base)[i])
         return dims
 
+    def default_list_radius(self, level: int) -> int:
+        """m(W-1)-1 with W = n_s - kmax the erasure window width."""
+        m = self.plan.block_size(level)
+        W = self.n // m - max(self.fold_dims(level))
+        return m * (W - 1) - 1
+
     def row_plan(self, level: int) -> GfftPlan:
         """The x-line plan the fold rows live on (carries differentiation
         structure, unlike the combined plan's own sub-plan)."""
@@ -210,64 +208,19 @@ class HermitianCode:
         return sub
 
 
-def hermitian_code(curve: HermitianCurve, base_plan: GfftPlan,
-                   order_bound: int) -> HermitianCode:
-    return HermitianCode(curve, base_plan, order_bound)
-
-
-def ag_encode(code: HermitianCode, message):
-    return code.encode(message)
-
-
-def ag_tau(code: HermitianCode, level: int, word):
-    return code.plan.tau_forward(level, word)
-
-
-def ag_tau_inverse(code: HermitianCode, level: int, mat):
-    return code.plan.tau_inverse(level, mat)
-
-
-def ag_default_list_radius(code: HermitianCode, level: int) -> int:
-    m = code.plan.ms[level]
-    n_s = code.n // m
-    W = n_s - max(code.fold_dims(level))
-    return m * (W - 1) - 1
-
-
-def ag_default_unique_radius(code: HermitianCode, level: int, e: int) -> int:
-    m = code.plan.ms[level]
-    n_s = code.n // m
-    return m * (n_s - max(code.fold_dims(level)) - e - 2) - 1
-
-
-def ag_list_decode(code: HermitianCode, received, level: int,
-                   radius: int | None = None):
-    """All codewords within an index burst of the radius (combined order)."""
-    if radius is None:
-        radius = ag_default_list_radius(code, level)
-    return interleaved_list_decode(
-        code.plan, level, code.fold_dims(level), received, radius,
-        row_plan=code.row_plan(level))
-
+# Hermitian codes decode through the shared front ends of decoders.py.  These
+# two names stay as functions of their own, not re-exported aliases, because
+# code that wraps or times them by identity would otherwise catch RS decodes
+# too.
 
 def ag_unique_decode(code: HermitianCode, received, level: int, e: int = 1,
                      radius: int | None = None, strict: bool = False):
-    """Single-answer burst decoding; raises DetectedFailure.  Returns
-    (message, codeword, outcome)."""
-    out = ag_unique_decode_batch(code, np.asarray(received)[None], level,
-                                 e=e, radius=radius, strict=strict)[0]
-    if out.status != "ok":
-        raise DetectedFailure(
-            f"burst decoding failed (column window {out.col_window})")
-    return code.message_from_word(out.codeword), out.codeword, out
+    return unique_decode(code, received, level, e=e, radius=radius,
+                         strict=strict)
 
 
 def ag_unique_decode_batch(code: HermitianCode, received, level: int,
                            e: int = 1, radius: int | None = None,
                            strict: bool = False):
-    if radius is None:
-        radius = ag_default_unique_radius(code, level, e)
-    rcv = np.asarray(received, dtype=np.int64).reshape(-1, code.n)
-    return interleaved_unique_decode(
-        code.plan, level, code.fold_dims(level), rcv, e=e, radius=radius,
-        strict=strict, row_plan=code.row_plan(level))
+    return unique_decode_batch(code, received, level, e=e, radius=radius,
+                               strict=strict)

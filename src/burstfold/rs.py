@@ -9,9 +9,9 @@ polynomial whose root run on the group pins down the burst interval.
 
 When the chain has more than one multiplicative factor the enumeration is
 the decimated (butterfly) order, not the exponent order xi*alpha^(j-1); the
-code keeps the exponent permutation alongside so that cyclic-window logic
-can convert freely.  Folding-based decoders always work in enumeration
-order; windows there are index windows.
+plan's cyclic() keeps the exponent permutation alongside so that
+cyclic-window logic can convert freely.  Folding-based decoders always work
+in enumeration order; windows there are index windows.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigInfeasible,
     CyclicStructureAbsent,
     DimensionOutOfRange,
     NoRootRun,
@@ -28,7 +29,8 @@ from .errors import (
     WindowTooLong,
 )
 from .fields import AffineGroupSpec, Field, infer_subfield_order
-from .gfft import GfftPlan, composite_derivative, dit_exponents, plan_build
+from .folding import row_dims
+from .gfft import GfftPlan, composite_derivative, plan_build
 
 
 class RsCode:
@@ -41,54 +43,18 @@ class RsCode:
         self.field: Field = plan.field
         self.n = plan.n
         self.k = k
-        self._cyclic = self._detect_cyclic()
         self._unit_plan = None
         self._lam1 = None
         self._delta = None
-        self._window_cache: dict[tuple[int, int], tuple] = {}
 
     # -- cyclic structure --
 
-    def _detect_cyclic(self):
-        """(xi, alpha, exp_of, pos_of) when points[j] = xi*alpha^exp_of[j]
-        with the standard decimation exponent pattern; None otherwise."""
-        plan = self.plan
-        F = self.field
-        pts = plan.points
-        if np.any(pts == 0):
-            return None
-        exps = dit_exponents(plan.factors)
-        xi = int(pts[0])
-        where_one = np.flatnonzero(exps == 1)
-        if len(where_one) != 1:
-            if plan.n == 1:
-                return (xi, 1, exps, np.argsort(exps))
-            return None
-        alpha = F.div(int(pts[where_one[0]]), xi)
-        if F.pow(alpha, plan.n) != 1:
-            return None
-        expected = F.geometric(alpha, plan.n, first=xi)[exps]
-        if not np.array_equal(pts, expected):
-            return None
-        pos_of = np.argsort(exps)
-        return (xi, alpha, exps, pos_of)
-
-    @property
-    def cyclic(self) -> bool:
-        return self._cyclic is not None
-
-    @property
-    def natural_order(self) -> bool:
-        """True when enumeration order equals exponent order."""
-        return (self._cyclic is not None
-                and np.array_equal(self._cyclic[2],
-                                   np.arange(self.n, dtype=np.int64)))
-
     def _require_cyclic(self):
-        if self._cyclic is None:
+        cyc = self.plan.cyclic()
+        if cyc is None:
             raise CyclicStructureAbsent(
                 "plan points are not a cyclic coset in decimation order")
-        return self._cyclic
+        return cyc
 
     def natural_points(self) -> np.ndarray:
         """Points reordered so entry e is xi*alpha^e."""
@@ -114,43 +80,25 @@ class RsCode:
         pad[..., :self.k] = msg
         return self.plan.forward(pad)
 
-    def coefficients(self, word):
-        return self.plan.inverse(word)
+    def message_from_word(self, word):
+        return self.plan.inverse(word)[..., :self.k]
 
     def is_codeword(self, word) -> bool:
         co = self.plan.inverse(np.asarray(word, dtype=np.int64))
         return bool(np.all(co[..., self.k:] == 0))
 
-    # -- window vanishers (cached) --
+    # -- folding (the interface the decoders in decoders.py use) --
 
-    def _window_tables(self, start: int, length: int):
-        """(mask, lam_vals, lamp_vals) for the index window [start, start+len);
-        negative start means a cyclic exponent window starting at exponent
-        -start-1 (cyclic codes only)."""
-        key = (start, length)
-        if key not in self._window_cache:
-            plan = self.plan
-            F = self.field
-            if start >= 0:
-                mask = np.zeros(self.n, dtype=bool)
-                mask[start:start + length] = True
-                lam = window_vanisher_values(plan, start, length)
-            else:
-                xi, alpha, exps, pos_of = self._require_cyclic()
-                e0 = -start - 1
-                wexps = (e0 + np.arange(length)) % self.n
-                idx = pos_of[wexps]
-                mask = np.zeros(self.n, dtype=bool)
-                mask[idx] = True
-                nodes = F.mul(xi, F.geometric(alpha, self.n)[wexps])
-                lam_coeffs = vanisher_from_nodes(F, nodes)
-                pad = np.zeros(self.n, dtype=np.int64)
-                pad[:len(lam_coeffs)] = lam_coeffs
-                lam = plan.forward(pad)
-            lam_co = plan.inverse(lam)
-            lamp = plan.forward(composite_derivative(plan, lam_co))
-            self._window_cache[key] = (mask, lam, lamp)
-        return self._window_cache[key]
+    def fold_dims(self, level: int) -> list[int]:
+        return row_dims(self.k, self.plan.block_size(level))
+
+    def row_plan(self, level: int) -> GfftPlan:
+        if level == self.plan.depth:
+            raise ConfigInfeasible("fold level leaves no columns")
+        return self.plan.sub_plan(level)
+
+    def default_list_radius(self, level: int) -> int:
+        return self.n - self.k - 2 * self.plan.block_size(level)
 
     # -- burst localization tables (cyclic) --
 
@@ -180,14 +128,6 @@ class RsCode:
         return self._unit_plan
 
 
-def rs_new(plan: GfftPlan, k: int) -> RsCode:
-    return RsCode(plan, k)
-
-
-def rs_encode(code: RsCode, message):
-    return code.encode(message)
-
-
 # ---------------------------------------------------------------------------
 # Window vanishing polynomials
 # ---------------------------------------------------------------------------
@@ -205,34 +145,32 @@ def vanisher_from_nodes(field: Field, nodes) -> np.ndarray:
     return c
 
 
-def plan_window_tables(plan: GfftPlan, start: int, length: int):
-    """Cached (mask, lam_values, lam_derivative_values) for the index window
-    [start, start+length) on a plan."""
-    cache = plan.__dict__.setdefault("_plan_window_cache", {})
-    key = (start, length)
+def plan_window_tables(plan: GfftPlan, start: int, length: int,
+                       cyclic: bool = False):
+    """Cached (mask, lam_values, lam_derivative_values) for an erasure window
+    on a plan: the index window [start, start+length), or with cyclic=True
+    the exponent window start, start+1, .. (mod n) of a cyclic plan, whose
+    nodes are xi*alpha^e = points[pos_of[e]] wherever they sit in the
+    enumeration."""
+    if cyclic:
+        start %= plan.n
+    key = (cyclic, start, length)
+    cache = plan._window_cache
     if key not in cache:
         mask = np.zeros(plan.n, dtype=bool)
-        mask[start:start + length] = True
-        lam = window_vanisher_values(plan, start, length)
-        lamp = plan.forward(composite_derivative(plan, plan.inverse(lam)))
-        cache[key] = (mask, lam, lamp)
-    return cache[key]
-
-
-def plan_cyclic_window_tables(plan: GfftPlan, start: int, length: int):
-    """Same, for a wrap-around index window on a natural-order cyclic plan."""
-    cache = plan.__dict__.setdefault("_plan_window_cache", {})
-    key = ("cyc", start % max(plan.n, 1), length)
-    if key not in cache:
-        F = plan.field
-        idx = (start + np.arange(length)) % plan.n
-        mask = np.zeros(plan.n, dtype=bool)
-        mask[idx] = True
-        coeffs = vanisher_from_nodes(F, plan.points[idx])
-        pad = np.zeros(plan.n, dtype=np.int64)
-        pad[:len(coeffs)] = coeffs
-        lam = plan.forward(pad)
-        lamp = plan.forward(composite_derivative(plan, plan.inverse(lam)))
+        if cyclic:
+            _, _, _, pos_of = plan.cyclic()
+            idx = pos_of[(start + np.arange(length)) % plan.n]
+            mask[idx] = True
+            lam_co = np.zeros(plan.n, dtype=np.int64)
+            coeffs = vanisher_from_nodes(plan.field, plan.points[idx])
+            lam_co[:len(coeffs)] = coeffs
+            lam = plan.forward(lam_co)
+        else:
+            mask[start:start + length] = True
+            lam = window_vanisher_values(plan, start, length)
+            lam_co = plan.inverse(lam)
+        lamp = plan.forward(composite_derivative(plan, lam_co))
         cache[key] = (mask, lam, lamp)
     return cache[key]
 
@@ -315,7 +253,11 @@ def erasure_decode(code: RsCode, received, window):
             f"window length {length} exceeds n-k = {code.n - code.k}")
     if length < 0 or (start >= 0 and start + length > code.n):
         raise WindowTooLong("window out of range")
-    mask, lam, lamp = code._window_tables(start, length)
+    cyclic = start < 0
+    if cyclic:
+        code._require_cyclic()
+        start = -start - 1
+    mask, lam, lamp = plan_window_tables(code.plan, start, length, cyclic)
     cand, coeffs, ok = erasure_fill_batch(
         code.plan, received, mask, lam, lamp, code.k)
     if not ok:
@@ -336,7 +278,7 @@ def syndrome(code: RsCode, received) -> np.ndarray:
 def _syndromes(code: RsCode, rcv_plan_order: np.ndarray) -> np.ndarray:
     unit = code._ensure_locator_tables()
     F = code.field
-    xi, alpha, exps, pos_of = code._cyclic
+    xi, alpha, exps, pos_of = code.plan.cyclic()
     r = code.n - code.k
     nat = rcv_plan_order[:, pos_of]
     u = F.mul(nat, code._delta[None, :])
@@ -357,7 +299,7 @@ def check_polynomial(code: RsCode, synd: np.ndarray) -> np.ndarray:
 def _root_mask(code: RsCode, gamma: np.ndarray) -> np.ndarray:
     """mask[t, e] = True iff Gamma_t(alpha^e) == 0."""
     unit = code._ensure_locator_tables()
-    _, _, exps, _ = code._cyclic
+    _, _, exps, _ = code.plan.cyclic()
     pad = np.zeros((gamma.shape[0], code.n), dtype=np.int64)
     pad[:, :gamma.shape[1]] = gamma
     vals = unit.forward(pad)
@@ -459,7 +401,8 @@ def wu_decode_batch(code: RsCode, received: np.ndarray, e: int = 1):
             labels.setdefault((int(start_exp[t]), int(lhat[t])), []).append(t)
         for (e0, ln), rows in labels.items():
             rows = np.asarray(rows)
-            wmask, lam, lamp = code._window_tables(-e0 - 1, ln)
+            wmask, lam, lamp = plan_window_tables(code.plan, e0, ln,
+                                                  cyclic=True)
             cand, _, ok = erasure_fill_batch(
                 code.plan, rcv[rows], wmask, lam, lamp, k)
             for i, t in enumerate(rows):

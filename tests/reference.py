@@ -1,17 +1,18 @@
-"""Dense univariate polynomial arithmetic over a Field.
+"""Reference implementations the tests compare the fast paths against.
 
-Coefficients are plain lists/arrays of element codes, index = degree.
-These are straightforward reference implementations: the transform code is
-validated against them, so they are kept deliberately simple (Horner, naive
-convolution, textbook Lagrange).
+Dense univariate polynomial arithmetic over a Field: coefficients are plain
+lists/arrays of element codes, index = degree.  These are kept deliberately
+simple (Horner, naive convolution, textbook Lagrange) and share no machinery
+with the chain transforms, and so does oracle_decode, a brute-force
+Lagrange erasure decoder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DuplicateAbscissa
-from .fields import Field
+from burstfold.errors import DuplicateAbscissa, NotACodeword, WindowTooLong
+from burstfold.fields import Field
 
 
 def poly_trim(coeffs) -> list[int]:
@@ -88,3 +89,47 @@ def lagrange_interpolate(field: Field, points, values) -> list[int]:
         for j in range(n):
             out[j] = F.add(out[j], F.mul(basis[j], scale))
     return out
+
+
+def oracle_decode(code, received, window):
+    """Reference erasure decoder: barycentric Lagrange interpolation from the
+    first k intact positions, with a consistency check over the rest.  Shares
+    no machinery with the chain-transform fast path; used to cross-check
+    erasure_decode.  Returns the codeword; raises WindowTooLong or
+    NotACodeword just like the fast path."""
+    start, length = window
+    n, k = code.n, code.k
+    if length > n - k:
+        raise WindowTooLong(
+            f"window length {length} exceeds n-k = {n - k}")
+    if length < 0 or start < 0 or start + length > n:
+        raise WindowTooLong("window out of range")
+    F = code.plan.field
+    rcv = np.asarray(received, dtype=np.int64)
+    keep = np.concatenate([np.arange(0, start),
+                           np.arange(start + length, n)])
+    nodes_idx, check_idx = keep[:k], keep[k:]
+    pts = code.plan.points
+    x, y = pts[nodes_idx], rcv[nodes_idx]
+    diff = F.sub(x[:, None], x[None, :])
+    np.fill_diagonal(diff, 1)
+    w = np.ones(k, dtype=np.int64)
+    for i in range(k):
+        w = F.mul(w, diff[:, i])
+    w = F.inv(w)
+    other = np.concatenate([check_idx,
+                            np.arange(start, start + length)])
+    tgt = pts[other]
+    m = F.sub(tgt[:, None], x[None, :])
+    ell = np.ones(tgt.shape[0], dtype=np.int64)
+    acc = np.zeros(tgt.shape[0], dtype=np.int64)
+    wy = F.mul(w, y)
+    for j in range(k):
+        ell = F.mul(ell, m[:, j])
+        acc = F.add(acc, F.mul(wy[j], F.inv(m[:, j])))
+    vals = F.mul(ell, acc)
+    cand = np.array(rcv)
+    cand[other] = vals
+    if not np.array_equal(cand[check_idx], rcv[check_idx]):
+        raise NotACodeword("received word inconsistent outside the window")
+    return cand

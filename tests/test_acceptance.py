@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from burstfold.cli import main as cli_main
-from burstfold.cli import oracle_decode, plant_cyclic_burst, plant_index_burst
+from burstfold.cli import plant_cyclic_burst, plant_index_burst
 from burstfold.decoders import (
     default_unique_radius,
     list_decode,
@@ -32,18 +32,13 @@ from burstfold.fields import (
 from burstfold.folding import fold, folded_burst_bound, row_dims
 from burstfold.gfft import plan_build
 from burstfold.hermitian import (
-    ag_default_list_radius,
-    ag_default_unique_radius,
-    ag_list_decode,
-    ag_tau,
-    ag_tau_inverse,
+    HermitianCode,
+    HermitianCurve,
     ag_unique_decode_batch,
-    curve_new,
-    hermitian_code,
 )
-from burstfold.poly import poly_eval
-from burstfold.rs import erasure_decode, rs_new, wu_decode_batch
+from burstfold.rs import RsCode, erasure_decode, wu_decode_batch
 
+from reference import oracle_decode, poly_eval
 from test_gfft import (
     additive_plan_gf16,
     composite_basis_polys,
@@ -158,7 +153,7 @@ def test_fold_burst_geometry_exhaustive():
 def test_list_recovery_at_every_burst_start():
     t0 = time.perf_counter()
     F, plan = cyclic_plan_gf64()
-    code = rs_new(plan, 15)
+    code = RsCode(plan, 15)
     level = 2
     assert plan.block_size(level) == 9
     ln, per_start = 30, 50
@@ -189,7 +184,7 @@ def test_list_recovery_at_every_burst_start():
 
 def test_root_run_recovery_rate():
     F, plan = cyclic_plan_gf256()
-    code = rs_new(plan, 223)
+    code = RsCode(plan, 223)
     ln, e, trials = 29, 2, 10_000
     rng = np.random.default_rng(40)
     msgs = rng.integers(0, F.q, (trials, 223))
@@ -219,7 +214,7 @@ def test_root_run_recovery_rate():
 
 def test_folded_unique_recovery_and_miscorrection_bound():
     F, plan = cyclic_plan_gf256([15, 17])
-    code = rs_new(plan, 120)
+    code = RsCode(plan, 120)
     level, e = 1, 2
     m = plan.block_size(level)
     n_s = code.n // m
@@ -267,7 +262,7 @@ ERASURE_CONFIGS = [
 @pytest.mark.parametrize("make,k", ERASURE_CONFIGS)
 def test_erasure_fill_matches_interpolation(make, k):
     F, plan = make()
-    code = rs_new(plan, k)
+    code = RsCode(plan, k)
     rng = np.random.default_rng(k)
     msgs = rng.integers(0, F.q, (1000, k))
     cws = code.encode(msgs)
@@ -291,10 +286,10 @@ def test_erasure_fill_matches_interpolation(make, k):
 def test_hermitian_pipeline():
     t0 = time.perf_counter()
     F = get_field(2, 4)
-    curve = curve_new(F, 4)
+    curve = HermitianCurve(F, 4)
     base = plan_build(F, AffineGroupSpec(t=1, ell=2, w_basis=[1, 2, 4, 8],
                                          gamma=0))
-    code = hermitian_code(curve, base, 20)
+    code = HermitianCode(curve, base, 20)
     assert (code.n, code.k) == (64, 15)
 
     # (a) encoding equals scalar evaluation of the basis functions
@@ -306,27 +301,27 @@ def test_hermitian_pipeline():
     # (b) fold/unfold transform round-trips on arbitrary words
     level = code.curve.rc + 2
     vecs = rng.integers(0, F.q, (100, code.n))
-    mats = np.stack([ag_tau(code, level, v) for v in vecs])
-    back = np.stack([ag_tau_inverse(code, level, mm) for mm in mats])
+    mats = np.stack([code.plan.tau_forward(level, v) for v in vecs])
+    back = np.stack([code.plan.tau_inverse(level, mm) for mm in mats])
     assert np.array_equal(back, vecs)
 
     # (c) list decoding recovers at every feasible burst start
-    radius = ag_default_list_radius(code, level)
+    radius = code.default_list_radius(level)
     assert radius == 15
     for st in range(0, code.n - radius + 1):
         msg = rng.integers(0, F.q, code.k)
         cw = code.encode(msg)
         bad = plant_index_burst(F, rng, cw, radius, st)
-        cands = ag_list_decode(code, bad, level)
+        cands = list_decode(code, bad, level)
         assert any(np.array_equal(c, cw) for c in cands)
 
     # (d) unique decoding recovers almost surely at its documented radius
     ubase = plan_build(F, AffineGroupSpec(t=15, ell=2, w_basis=[], gamma=1,
                                           t_factors=[15]))
-    ucode = hermitian_code(code.curve, ubase, 20)
+    ucode = HermitianCode(code.curve, ubase, 20)
     assert (ucode.n, ucode.k) == (60, 15)
     lvl, e = ucode.curve.rc, 2
-    uradius = ag_default_unique_radius(ucode, lvl, e)
+    uradius = default_unique_radius(ucode, lvl, e)
     assert uradius == 19
     trials = 200
     msgs = rng.integers(0, F.q, (trials, ucode.k))
@@ -357,7 +352,7 @@ def test_list_decode_scales_quasilinearly():
         basis = default_subspace_basis(F, 2, w)
         plan = plan_build(F, AffineGroupSpec(t=1, ell=2, w_basis=basis,
                                              gamma=0))
-        code = rs_new(plan, n // 4)
+        code = RsCode(plan, n // 4)
         rng = np.random.default_rng(w)
         cw = code.encode(rng.integers(0, F.q, n // 4))
         level = w - 4

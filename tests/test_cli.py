@@ -1,11 +1,17 @@
 """End-to-end checks of the command-line interface (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import burstfold
 from burstfold.cli import main, read_words, wilson_interval, write_words
+from burstfold.errors import InvalidSymbol
 from burstfold.fields import get_field
 
 G255 = "t=255,gamma=0x1"
@@ -51,6 +57,31 @@ def test_word_file_header_mismatch(tmp_path, gf256):
     rc = main(["decode", "--field", "2^8:0x11d", "--group", G255,
                "--k", "223", "--in", str(p), "--out", "-"])
     assert rc == 2
+
+
+def test_word_file_rejects_bad_symbols(tmp_path, gf16):
+    p = tmp_path / "m.txt"
+    base = ["--field", "2^4", "--group", "t=15,gamma=0x1", "--k", "3"]
+    # negative, not below q = 16, not hex
+    for bad in ("-1", "1f", "zz"):
+        p.write_text(f"1\n{bad}\n2\n")
+        with pytest.raises(InvalidSymbol):
+            read_words(str(p), gf16)
+        assert main(["encode", *base, "--in", str(p), "--out", "-"]) == 2
+    p.write_text("1\nf\n2\n")
+    assert read_words(str(p), gf16)[0].tolist() == [1, 15, 2]
+
+
+def test_module_entry_point():
+    src = str(Path(burstfold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "burstfold.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: burstfold")
 
 
 def test_encode_corrupt_decode_unique(tmp_path, gf256):
@@ -161,14 +192,14 @@ def test_list_clean_input_single_candidate(tmp_path):
 
 
 def test_oracle_decode_matches_fast_path():
-    from burstfold import (AffineGroupSpec, Field, NotACodeword,
-                           WindowTooLong, erasure_decode, oracle_decode,
-                           plan_build, rs_new)
+    from burstfold import (AffineGroupSpec, Field, NotACodeword, RsCode,
+                           WindowTooLong, erasure_decode, plan_build)
     from burstfold.cli import plant_index_burst
+    from reference import oracle_decode
 
     F = Field.parse("2^6")
     plan = plan_build(F, AffineGroupSpec.parse(F, "t=63,gamma=0x1"))
-    code = rs_new(plan, 15)
+    code = RsCode(plan, 15)
     rng = np.random.default_rng(2)
     for _ in range(25):
         cw = code.encode(rng.integers(0, 64, 15))
@@ -276,6 +307,9 @@ def test_bad_config_exit_codes(tmp_path):
     # message length != k
     assert main(["encode", "--field", "2^8:0x11d", "--group", G255,
                  "--k", "223", "--in", mp, "--out", "-"]) == 2
+    # a field too large for the arithmetic tables
+    assert main(["encode", "--field", "2^21", "--group", "t=1,wdim=2",
+                 "--k", "2", "--in", mp, "--out", "-"]) == 2
 
 
 def test_wilson_interval():

@@ -3,7 +3,6 @@ import pytest
 
 from burstfold.decoders import (
     DetectedFailure,
-    default_list_radius,
     default_unique_radius,
     list_decode,
     list_decode_batch,
@@ -14,7 +13,7 @@ from burstfold.errors import ConfigInfeasible
 from burstfold.fields import AffineGroupSpec, get_field
 from burstfold.folding import row_dims
 from burstfold.gfft import plan_build
-from burstfold.rs import rs_new
+from burstfold.rs import RsCode
 
 from test_gfft import additive_plan_gf16, cyclic_plan_gf13
 
@@ -22,13 +21,13 @@ from test_gfft import additive_plan_gf16, cyclic_plan_gf13
 def make_gf64_code():
     F = get_field(2, 6)
     plan = plan_build(F, AffineGroupSpec(t=63, ell=64, w_basis=[], gamma=1))
-    return F, rs_new(plan, 15)
+    return F, RsCode(plan, 15)
 
 
 def make_gf256_code():
     F = get_field(2, 8)
     plan = plan_build(F, AffineGroupSpec(t=255, ell=256, w_basis=[], gamma=1))
-    return F, rs_new(plan, 120)
+    return F, RsCode(plan, 120)
 
 
 def plant_burst(F, rng, cw, length, start):
@@ -48,7 +47,7 @@ def plant_burst(F, rng, cw, length, start):
 def test_list_decode_roundtrip_gf64(s, k):
     F, code = make_gf64_code()
     rng = np.random.default_rng(20)
-    radius = default_list_radius(code, s)
+    radius = code.default_list_radius(s)
     assert radius > 0
     for _ in range(15):
         msg = rng.integers(0, 64, size=k)
@@ -65,8 +64,8 @@ def test_list_decode_roundtrip_gf64(s, k):
 def test_list_decode_small_plans():
     for make, k, s in [(cyclic_plan_gf13, 4, 1), (additive_plan_gf16, 3, 1)]:
         F, plan = make()
-        code = rs_new(plan, k)
-        radius = default_list_radius(code, s)
+        code = RsCode(plan, k)
+        radius = code.default_list_radius(s)
         assert radius >= 1, (make.__name__,)
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -172,7 +171,7 @@ def test_unique_decode_oversized_burst_detected_or_rare_miss():
 
 def test_unique_decode_infeasible_configs():
     F, plan = additive_plan_gf16()
-    code = rs_new(plan, 3)
+    code = RsCode(plan, 3)
     with pytest.raises(ConfigInfeasible):
         unique_decode(code, np.zeros(8, dtype=np.int64), 1, e=1, radius=1)
     F2, code64 = make_gf64_code()
@@ -184,7 +183,7 @@ def test_unique_decode_infeasible_configs():
 def test_unique_default_radius_formula():
     F, code = make_gf256_code()
     assert default_unique_radius(code, 2, 2) == 15 * (17 - 8 - 2 - 2) - 1
-    assert default_list_radius(code, 2) == 255 - 120 - 30
+    assert code.default_list_radius(2) == 255 - 120 - 30
 
 
 def test_row_dims_used_by_decoders():

@@ -5,12 +5,14 @@ from burstfold.errors import (
     DependentBasis,
     DivisionByZero,
     DuplicatePoints,
+    FieldTooLarge,
     GammaInKernel,
     NonPrimeCharacteristic,
     NoSuchOrder,
     ReducibleModulus,
 )
 from burstfold.fields import (
+    TABLE_LIMIT,
     AffineGroupSpec,
     Field,
     default_subspace_basis,
@@ -91,6 +93,10 @@ def test_field_validation():
         Field(2, 4, modulus=0x18)  # x^4 + x^3 = x^3(x+1)
     F = Field(2, 4, modulus=0x19)  # x^4 + x^3 + 1, the other irreducible choice
     assert F.mul(2, F.inv(2)) == 1
+    # no exp/log tables above TABLE_LIMIT, so no field either
+    assert 2 ** 21 > TABLE_LIMIT
+    with pytest.raises(FieldTooLarge):
+        get_field(2, 21)
 
 
 def test_parse_roundtrip():

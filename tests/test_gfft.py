@@ -19,11 +19,10 @@ from burstfold.gfft import (
     composite_derivative,
     digitrev_permutation,
     dit_exponents,
-    gfft_forward,
-    gfft_inverse,
     plan_build,
 )
-from burstfold.poly import poly_derivative, poly_eval, poly_mul
+
+from reference import poly_derivative, poly_eval, poly_mul
 
 
 def cyclic_plan_gf13():
@@ -103,7 +102,7 @@ def test_forward_matches_dense_oracle(make):
         if c:
             bu = poly_eval(F, basis[u], plan.points)
             expected = F.add(expected, F.mul(bu, int(c)))
-    got = gfft_forward(plan, coeffs)
+    got = plan.forward(coeffs)
     assert np.array_equal(got, expected)
 
 
@@ -179,16 +178,20 @@ def test_sub_plan_points_and_cache():
 def test_cyclic_params_detection():
     F, plan = cyclic_plan_gf13()
     # chain order of the full group is decimated, not natural
-    assert plan.cyclic_params() is None
-    sub = plan.sub_plan(2)  # single remaining factor -> natural order
-    info = sub.cyclic_params()
+    info = plan.cyclic()
     assert info is not None
-    xi, alpha = info
+    assert not np.array_equal(info[2], np.arange(plan.n))
+    sub = plan.sub_plan(2)  # single remaining factor -> natural order
+    info = sub.cyclic()
+    assert info is not None
+    xi, alpha, exps, pos_of = info
+    assert np.array_equal(exps, np.arange(3))
+    assert np.array_equal(pos_of, np.arange(3))
     assert F.pow(alpha, 3) == 1 and alpha != 1
     assert np.array_equal(sub.points, F.geometric(alpha, 3, first=xi))
     # additive plans are never cyclic (they contain 0 or are not geometric)
     _, aplan = additive_plan_gf16()
-    assert aplan.sub_plan(1).cyclic_params() is None
+    assert aplan.sub_plan(1).cyclic() is None
 
 
 def test_dit_exponents_and_digitrev():

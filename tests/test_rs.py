@@ -10,13 +10,11 @@ from burstfold.errors import (
 )
 from burstfold.fields import AffineGroupSpec, get_field
 from burstfold.gfft import plan_build
-from burstfold.poly import lagrange_interpolate, poly_eval, poly_trim
 from burstfold.rs import (
+    RsCode,
     check_polynomial,
     erasure_decode,
     longest_root_run,
-    rs_encode,
-    rs_new,
     syndrome,
     vanisher_from_nodes,
     window_vanisher_values,
@@ -24,33 +22,34 @@ from burstfold.rs import (
     wu_decode_batch,
 )
 
+from reference import lagrange_interpolate, poly_eval, poly_trim
 from test_gfft import additive_plan_gf16, cyclic_plan_gf13, mixed_plan_gf64
 
 
 def make_code_gf13(k=4):
     F, plan = cyclic_plan_gf13()
-    return F, rs_new(plan, k)
+    return F, RsCode(plan, k)
 
 
 def make_code_gf256(k=223):
     F = get_field(2, 8)
     plan = plan_build(F, AffineGroupSpec(t=255, ell=256, w_basis=[], gamma=1))
-    return F, rs_new(plan, k)
+    return F, RsCode(plan, k)
 
 
 def test_rs_new_validation():
     F, plan = cyclic_plan_gf13()
     with pytest.raises(DimensionOutOfRange):
-        rs_new(plan, 0)
+        RsCode(plan, 0)
     with pytest.raises(DimensionOutOfRange):
-        rs_new(plan, 13)
+        RsCode(plan, 13)
 
 
 def test_encode_matches_polynomial_evaluation():
     F, code = make_code_gf13()
     rng = np.random.default_rng(0)
     msg = rng.integers(0, 13, size=4)
-    cw = rs_encode(code, msg)
+    cw = code.encode(msg)
     # cyclic chain => composite basis is the monomial basis
     want = poly_eval(F, msg.tolist(), code.plan.points)
     assert np.array_equal(cw, want)
@@ -60,16 +59,17 @@ def test_encode_batch_shapes():
     F, code = make_code_gf13()
     rng = np.random.default_rng(1)
     msgs = rng.integers(0, 13, size=(7, 4))
-    cws = rs_encode(code, msgs)
+    cws = code.encode(msgs)
     assert cws.shape == (7, 12)
     for m, c in zip(msgs, cws):
-        assert np.array_equal(rs_encode(code, m), c)
+        assert np.array_equal(code.encode(m), c)
     assert code.is_codeword(cws[0])
 
 
 def test_cyclic_detection_and_conversions():
     F, code = make_code_gf13()
-    assert code.cyclic and not code.natural_order
+    cyc = code.plan.cyclic()
+    assert cyc is not None and not np.array_equal(cyc[2], np.arange(code.n))
     nat = code.natural_points()
     xi, alpha = int(nat[0]), F.div(int(nat[1]), int(nat[0]))
     assert nat.tolist() == [F.mul(xi, F.pow(alpha, e)) for e in range(12)]
@@ -85,8 +85,8 @@ def test_cyclic_detection_and_conversions():
 
 def test_additive_code_not_cyclic():
     F, plan = additive_plan_gf16()
-    code = rs_new(plan, 3)
-    assert not code.cyclic
+    code = RsCode(plan, 3)
+    assert code.plan.cyclic() is None
     with pytest.raises(CyclicStructureAbsent):
         syndrome(code, np.zeros(8, dtype=np.int64))
 
@@ -110,7 +110,7 @@ def test_window_vanisher_matches_node_product():
                                     (mixed_plan_gf64, 5)])
 def test_erasure_decode_roundtrip(make, k):
     F, plan = make()
-    code = rs_new(plan, k)
+    code = RsCode(plan, k)
     rng = np.random.default_rng(4)
     r = plan.n - k
     for trial in range(20):
