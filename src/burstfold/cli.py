@@ -81,7 +81,8 @@ def read_words(path: str, field: Field | None = None):
 
 def write_words(path: str, field: Field, words) -> None:
     words = [np.atleast_1d(np.asarray(w, dtype=np.int64)) for w in words]
-    lines = [f"# gf {field.p} {field.d} 0x{field.modulus:x} "
+    # prime fields have no modulus; read_words ignores it when d = 1
+    lines = [f"# gf {field.p} {field.d} 0x{field.modulus or 0:x} "
              f"n={words[0].shape[-1]}"]
     for i, w in enumerate(words):
         if i:

@@ -24,7 +24,12 @@ import numpy as np
 from .errors import ConfigInfeasible, DetectedFailure
 from .folding import folded_burst_bound
 from .gfft import GfftPlan
-from .rs import RsCode, erasure_fill_batch, plan_window_tables, wu_decode_batch
+from .rs import (
+    erasure_fill_batch,
+    plan_window_tables,
+    row_code,
+    wu_decode_batch,
+)
 
 
 @dataclass
@@ -140,14 +145,13 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
     B = rcv.shape[0]
     rows_flat = plan.tau_forward(fold_level, rcv).reshape(B * m, n_s)
     classes = _row_classes(dims, B, m)
-    row_codes = {kd: RsCode(sub, kd) for kd in classes}
     row_ok = np.zeros(B * m, dtype=bool)
     row_start = np.zeros(B * m, dtype=np.int64)
     row_len = np.zeros(B * m, dtype=np.int64)
     row_amb = np.zeros(B * m, dtype=bool)
     cand_rows = rows_flat.copy()
     for kd, flat in classes.items():
-        outs = wu_decode_batch(row_codes[kd], rows_flat[flat], e)
+        outs = wu_decode_batch(row_code(sub, kd), rows_flat[flat], e)
         for j, t in enumerate(flat):
             o = outs[j]
             if o.status == "ok":
@@ -155,6 +159,8 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
                 row_start[t], row_len[t] = o.window
                 cand_rows[t] = o.codeword
             row_amb[t] = o.ambiguous
+        # one outcome object per row: free them before the next class runs
+        del outs
     statuses = ["ok"] * B
     col_windows: list[tuple[int, int] | None] = [None] * B
     ambiguous = np.zeros(B, dtype=bool)

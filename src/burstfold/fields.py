@@ -8,8 +8,9 @@ and return the same kind.
 
 A discrete exp/log table pair is built once per field (fields are cached),
 which makes multiplication, inversion and powering O(1) table lookups and
-keeps the hot paths fully vectorized.  Fields above TABLE_LIMIT elements are
-rejected.
+keeps the hot paths fully vectorized.  Multiplication uses a zero-absorbing
+pair (log0, exp0), so it needs no zero mask.  Fields above TABLE_LIMIT
+elements are rejected.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .errors import (
     ReducibleModulus,
 )
 
-# Largest field supported: its exp/log tables are materialized, and 2^20
-# entries of int64 is 8 MB per table.
+# Largest field supported: its exp/log tables are materialized, and at 2^20
+# elements the zero-absorbing exp table alone is 4 * 2^20 int64 (32 MB).
 TABLE_LIMIT = 1 << 20
 
 # Conway-free default moduli (lexicographically smallest irreducible would do;
@@ -273,18 +274,28 @@ class Field:
 
     def _build_tables(self) -> None:
         q = self.q
+        q1 = q - 1
         g = self._find_generator()
         self.generator = g
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
+        # exp0 is the doubled exp table followed by a zero tail, and log0 is
+        # log with log0[0] = 2(q-1): a product with a zero factor indexes the
+        # tail, so exp0[log0[a] + log0[b]] = a*b holds for all a, b unmasked
+        exp0 = np.zeros(4 * q1 + 1, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         x = 1
-        for i in range(q - 1):
-            exp[i] = x
+        for i in range(q1):
+            exp0[i] = x
             log[x] = i
             x = self._scalar_mul(x, g)
-        exp[q - 1:] = exp[: q - 1]
-        self._exp = exp
+        exp0[q1:2 * q1] = exp0[:q1]
+        self._exp = exp0[:2 * q1]
         self._log = log
+        self._exp0 = exp0
+        self._log0 = log.astype(np.int32)
+        self._log0[0] = 2 * q1
+        # narrow copy for the transform butterflies: uint8 up to GF(2^8),
+        # uint16 up to GF(2^16), so the table stays cache-sized
+        self._exp0n = exp0.astype(np.min_scalar_type(q1))
 
     # -- public arithmetic: int or int64 ndarray, elementwise --
 
@@ -324,13 +335,8 @@ class Field:
         if self.d == 1:
             return (a * b) % self.p
         if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-            if a == 0 or b == 0:
-                return 0
-            return int(self._exp[self._log[a] + self._log[b]])
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+            return int(self._exp0[self._log0[a] + self._log0[b]])
+        return self._exp0.take(self._log0.take(a) + self._log0.take(b))
 
     def inv(self, a):
         q = self.q

@@ -40,6 +40,11 @@ from .fields import (
 )
 
 
+# Elements per butterfly chunk: rows are processed in slabs of about this
+# size so that the level temporaries stay cache-sized.
+CHUNK = 1 << 15
+
+
 def products_prefix(factors) -> list[int]:
     """[1, f0, f0*f1, ...] — block size below each level."""
     out = [1]
@@ -144,16 +149,16 @@ class GfftPlan:
         if check:
             self._check_tables()
         if _shared is not None:
-            self._node_tabs, self._vinv_tabs = _shared
+            self._lv_tabs, self._lvi_tabs = _shared
         else:
             self._build_butterflies()
         self._drev_cache: dict[int, np.ndarray] = {}
         self._sub_cache: dict[int, GfftPlan] = {}
-        self._vpow_cache: dict[int, np.ndarray] = {}
         self._cyclic = -1  # lazily computed by cyclic()
-        # (cyclic, start, length) -> (mask, lam, lamp); see
-        # rs.plan_window_tables
+        # (cyclic, start, length) -> (mask, lam, lamp), least recently used
+        # first; see rs.plan_window_tables
         self._window_cache: dict[tuple, tuple] = {}
+        self._row_codes: dict = {}  # k -> rs.RsCode; see rs.row_code
 
     # -- setup --
 
@@ -173,9 +178,13 @@ class GfftPlan:
             raise DuplicatePoints("evaluation points are not distinct")
 
     def _build_butterflies(self) -> None:
+        """Per level d, the log0 tables of the block Vandermonde matrices:
+        _lv_tabs[d][u, a, J] = log0(node[J, a]^u) and
+        _lvi_tabs[d][a, u, J] = log0(Vi[J, u, a]), laid out so that each
+        butterfly step reads one contiguous slab."""
         F = self.field
-        self._node_tabs = []
-        self._vinv_tabs = []
+        self._lv_tabs = []
+        self._lvi_tabs = []
         for d, p in enumerate(self.factors):
             m = self.ms[d]
             nodes = self.gen[d][::m].reshape(-1, p)
@@ -183,20 +192,14 @@ class GfftPlan:
             if np.any(srt[:, 1:] == srt[:, :-1]):
                 raise DuplicatePoints(
                     f"level-{d} generator repeats within a block")
-            self._node_tabs.append(nodes)
-            self._vinv_tabs.append(_vandermonde_inverses(F, nodes))
-
-    def _node_powers(self, d: int) -> np.ndarray:
-        # V[J, a, u] = nodes[J, a]^u, cached per depth
-        if d not in self._vpow_cache:
-            nodes = self._node_tabs[d]
-            p = nodes.shape[1]
-            V = np.empty(nodes.shape + (p,), dtype=np.int64)
-            V[:, :, 0] = 1
+            V = np.empty((p,) + nodes.T.shape, dtype=np.int64)
+            V[0] = 1
             for u in range(1, p):
-                V[:, :, u] = self.field.mul(V[:, :, u - 1], nodes)
-            self._vpow_cache[d] = V
-        return self._vpow_cache[d]
+                V[u] = F.mul(V[u - 1], nodes.T)
+            self._lv_tabs.append(F._log0[V])
+            Vi = _vandermonde_inverses(F, nodes)
+            self._lvi_tabs.append(
+                np.ascontiguousarray(F._log0[Vi].transpose(2, 1, 0)))
 
     def _drev(self, s: int) -> np.ndarray:
         if s not in self._drev_cache:
@@ -259,45 +262,71 @@ class GfftPlan:
         """Run butterfly combine steps for depths d_hi-1 .. 0.
 
         B: (batch, N) where N = prod(factors[:d_hi]) * (values per sub-problem).
-        With node_slices=None the full-plan tables are used.
+        With node_slices=None the full-plan tables are used; otherwise
+        node_slices[d] replaces _lv_tabs[d].  Each level is p-1 steps of one
+        exp0 lookup and one field add, run on slabs of about CHUNK elements;
+        field elements stay in exp0's narrow dtype between levels in
+        characteristic 2.
         """
         F = self.field
+        log0, exp0 = F._log0, F._exp0n
+        char2 = F.p == 2  # addition is XOR, done in place
+        dt = exp0.dtype if char2 else np.int64
         batch, N = B.shape
         for d in reversed(range(d_hi)):
             p = self.factors[d]
             m_d = self.ms[d]
             nJ = N // (m_d * p)
-            V = (self._node_powers(d) if node_slices is None
-                 else node_slices[d])
+            LV = self._lv_tabs[d] if node_slices is None else node_slices[d]
             A = B.reshape(batch * m_d, p, nJ)
-            out = np.empty((batch * m_d, nJ, p), dtype=np.int64)
-            for a in range(p):
-                acc = A[:, 0, :]  # node^0 = 1
+            out = np.empty((batch * m_d, nJ, p), dtype=dt)
+            step = max(1, CHUNK // (p * nJ))
+            for lo in range(0, batch * m_d, step):
+                Ac = A[lo:lo + step]
+                LA = log0.take(Ac[:, 1:])
+                # node^0 = 1: output a starts from coefficient 0 for every a
+                acc = np.repeat(Ac[:, :1].astype(dt, copy=False), p, axis=1)
                 for u in range(1, p):
-                    acc = F.add(acc, F.mul(V[:, a, u], A[:, u, :]))
-                out[:, :, a] = acc
+                    term = exp0.take(LV[u] + LA[:, u - 1, None])
+                    if char2:
+                        acc ^= term
+                    else:
+                        acc = F.add(acc, term)
+                # accumulated as (row, a, J) so each step's add runs along J;
+                # the level's output order is (row, J, a)
+                out[lo:lo + step] = acc.transpose(0, 2, 1)
             B = out.reshape(batch, N)
-        return B
+        return B.astype(np.int64, copy=False)
 
     def _descend(self, B: np.ndarray, d_hi: int, vinv_slices=None) -> np.ndarray:
-        """Run butterfly split steps for depths 0 .. d_hi-1 (inverse order)."""
+        """Run butterfly split steps for depths 0 .. d_hi-1 (inverse order);
+        vinv_slices[d], when given, replaces _lvi_tabs[d]."""
         F = self.field
+        log0, exp0 = F._log0, F._exp0n
+        char2 = F.p == 2  # addition is XOR, done in place
+        dt = exp0.dtype if char2 else np.int64
         batch, N = B.shape
         for d in range(d_hi):
             p = self.factors[d]
             m_d = self.ms[d]
             nJ = N // (m_d * p)
-            Vi = (self._vinv_tabs[d] if vinv_slices is None
-                  else vinv_slices[d])
+            LVi = self._lvi_tabs[d] if vinv_slices is None else vinv_slices[d]
             A = B.reshape(batch * m_d, nJ, p)
-            out = np.empty((batch * m_d, p, nJ), dtype=np.int64)
-            for u in range(p):
-                acc = F.mul(Vi[:, u, 0], A[:, :, 0])
+            out = np.empty((batch * m_d, p, nJ), dtype=dt)
+            step = max(1, CHUNK // (p * nJ))
+            for lo in range(0, batch * m_d, step):
+                LA = log0.take(A[lo:lo + step])
+                acc = exp0.take(LVi[0] + LA[:, None, :, 0]).astype(
+                    dt, copy=False)
                 for a in range(1, p):
-                    acc = F.add(acc, F.mul(Vi[:, u, a], A[:, :, a]))
-                out[:, u, :] = acc
+                    term = exp0.take(LVi[a] + LA[:, None, :, a])
+                    if char2:
+                        acc ^= term
+                    else:
+                        acc = F.add(acc, term)
+                out[lo:lo + step] = acc
             B = out.reshape(batch, N)
-        return B
+        return B.astype(np.int64, copy=False)
 
     # -- public transforms --
 
@@ -358,7 +387,7 @@ class GfftPlan:
         if s not in self._sub_cache:
             m_s = self.ms[s]
             gen = [g[::m_s] for g in self.gen[s:]]
-            shared = (self._node_tabs[s:], self._vinv_tabs[s:])
+            shared = (self._lv_tabs[s:], self._lvi_tabs[s:])
             sub_deriv = None
             if self.deriv_info is not None:
                 w, cs = self.deriv_info
@@ -389,14 +418,8 @@ class GfftPlan:
             m_d1 = self.ms[d + 1]
             lo = block * (m_s // m_d1)
             hi = (block + 1) * (m_s // m_d1)
-            nodes = self._node_tabs[d][lo:hi]
-            p = self.factors[d]
-            V = np.empty(nodes.shape + (p,), dtype=np.int64)
-            V[:, :, 0] = 1
-            for u in range(1, p):
-                V[:, :, u] = self.field.mul(V[:, :, u - 1], nodes)
-            node_sl.append(V)
-            vinv_sl.append(self._vinv_tabs[d][lo:hi])
+            node_sl.append(self._lv_tabs[d][:, :, lo:hi])
+            vinv_sl.append(self._lvi_tabs[d][:, :, lo:hi])
         if inverse:
             out = self._descend(B, s, vinv_slices=vinv_sl)
             out = out[:, self._drev(s)]

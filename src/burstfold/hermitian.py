@@ -186,11 +186,8 @@ class HermitianCode:
             raise ConfigInfeasible(
                 "fold level must quotient out the whole fiber")
         m_base = self.base.ms[level - rc]
-        dims = []
-        for i in range(m_base):
-            for u in range(kappa):
-                dims.append(row_dims(self.dims_y[u], m_base)[i])
-        return dims
+        by_u = [row_dims(self.dims_y[u], m_base) for u in range(kappa)]
+        return [by_u[u][i] for i in range(m_base) for u in range(kappa)]
 
     def default_list_radius(self, level: int) -> int:
         """m(W-1)-1 with W = n_s - kmax the erasure window width."""

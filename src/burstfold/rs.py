@@ -128,6 +128,15 @@ class RsCode:
         return self._unit_plan
 
 
+def row_code(plan: GfftPlan, k: int) -> RsCode:
+    """The dimension-k code on plan, kept on the plan so that its locator
+    tables are built once per plan rather than once per decode."""
+    codes = plan._row_codes
+    if k not in codes:
+        codes[k] = RsCode(plan, k)
+    return codes[k]
+
+
 # ---------------------------------------------------------------------------
 # Window vanishing polynomials
 # ---------------------------------------------------------------------------
@@ -145,18 +154,24 @@ def vanisher_from_nodes(field: Field, nodes) -> np.ndarray:
     return c
 
 
+# Windows kept per plan; the least recently used one is dropped beyond this.
+WINDOW_CACHE_SIZE = 64
+
+
 def plan_window_tables(plan: GfftPlan, start: int, length: int,
                        cyclic: bool = False):
     """Cached (mask, lam_values, lam_derivative_values) for an erasure window
     on a plan: the index window [start, start+length), or with cyclic=True
     the exponent window start, start+1, .. (mod n) of a cyclic plan, whose
     nodes are xi*alpha^e = points[pos_of[e]] wherever they sit in the
-    enumeration."""
+    enumeration.  The plan keeps the WINDOW_CACHE_SIZE most recently used
+    windows."""
     if cyclic:
         start %= plan.n
     key = (cyclic, start, length)
     cache = plan._window_cache
-    if key not in cache:
+    tables = cache.pop(key, None)
+    if tables is None:
         mask = np.zeros(plan.n, dtype=bool)
         if cyclic:
             _, _, _, pos_of = plan.cyclic()
@@ -171,8 +186,11 @@ def plan_window_tables(plan: GfftPlan, start: int, length: int,
             lam = window_vanisher_values(plan, start, length)
             lam_co = plan.inverse(lam)
         lamp = plan.forward(composite_derivative(plan, lam_co))
-        cache[key] = (mask, lam, lamp)
-    return cache[key]
+        tables = (mask, lam, lamp)
+        if len(cache) >= WINDOW_CACHE_SIZE:
+            del cache[next(iter(cache))]
+    cache[key] = tables  # (re)inserted last: dicts keep insertion order
+    return tables
 
 
 def window_vanisher_values(plan: GfftPlan, start: int, length: int) -> np.ndarray:
@@ -278,15 +296,13 @@ def syndrome(code: RsCode, received) -> np.ndarray:
 def _syndromes(code: RsCode, rcv_plan_order: np.ndarray) -> np.ndarray:
     unit = code._ensure_locator_tables()
     F = code.field
-    xi, alpha, exps, pos_of = code.plan.cyclic()
+    xi, _, _, pos_of = code.plan.cyclic()
     r = code.n - code.k
-    nat = rcv_plan_order[:, pos_of]
-    u = F.mul(nat, code._delta[None, :])
-    uvals = unit.forward(u)
-    shat = np.empty_like(uvals)
-    shat[:, exps] = uvals
+    uvals = unit.forward(F.mul(rcv_plan_order[:, pos_of],
+                               code._delta[None, :]))
     xi_pows = F.geometric(xi, max(r, 1))
-    return F.mul(shat[:, :r], xi_pows[None, :r])
+    # the unit plan's value at exponent i sits at position pos_of[i]
+    return F.mul(uvals[:, pos_of[:r]], xi_pows[None, :r])
 
 
 def check_polynomial(code: RsCode, synd: np.ndarray) -> np.ndarray:
@@ -310,23 +326,21 @@ def _root_mask(code: RsCode, gamma: np.ndarray) -> np.ndarray:
 
 def _cyclic_runs(mask: np.ndarray):
     """Longest cyclic run of True per row: (length, top_index, ambiguous).
-    Ties keep the smallest top index and set the ambiguous flag."""
-    batch, n = mask.shape
-    m = mask.astype(np.int64)
-    f = np.zeros(batch, dtype=np.int64)
-    best = np.zeros(batch, dtype=np.int64)
-    btop = np.full(batch, -1, dtype=np.int64)
-    amb = np.zeros(batch, dtype=bool)
-    for c in range(2 * n):
-        f = (f + 1) * m[:, c % n]
-        if c >= n:
-            e = c - n
-            length = np.minimum(f, n)
-            better = length > best
-            tie = (~better) & (best > 0) & (length == best) & (btop != e)
-            amb = np.where(better, False, amb | tie)
-            best = np.where(better, length, best)
-            btop = np.where(better, e, btop)
+    The run ending at index e has length e minus the last False index at or
+    before e, where a run with no False before it in its row wraps around
+    and starts after the row's last False (capped at n for an all-True
+    row).  Ties keep the smallest top index and set the ambiguous flag; a
+    row with no True has top index -1."""
+    n = mask.shape[1]
+    idx = np.arange(n, dtype=np.int32)
+    last_false = np.where(mask, -1, idx)
+    np.maximum.accumulate(last_false, axis=1, out=last_false)
+    last_false = np.where(last_false >= 0, last_false,
+                          last_false[:, -1:] - n)
+    length = np.minimum(idx - last_false, n)
+    best = length.max(axis=1).astype(np.int64)
+    btop = np.where(best > 0, length.argmax(axis=1), -1).astype(np.int64)
+    amb = (best > 0) & ((length == best[:, None]).sum(axis=1) > 1)
     return best, btop, amb
 
 
@@ -383,6 +397,7 @@ def wu_decode_batch(code: RsCode, received: np.ndarray, e: int = 1):
     mask = _root_mask(code, gamma)
     mask[no_err | gamma_zero] = False
     best, btop, amb = _cyclic_runs(mask)
+    del synd, gamma, mask  # free the locator arrays before the fills run
     results: list[WuOutcome | None] = [None] * B
     for t in np.flatnonzero(no_err):
         results[t] = WuOutcome("ok", rcv[t].copy(), (0, 0), int(best[t]),

@@ -4,7 +4,8 @@ Dense univariate polynomial arithmetic over a Field: coefficients are plain
 lists/arrays of element codes, index = degree.  These are kept deliberately
 simple (Horner, naive convolution, textbook Lagrange) and share no machinery
 with the chain transforms, and so does oracle_decode, a brute-force
-Lagrange erasure decoder.
+Lagrange erasure decoder.  cyclic_runs_loop is the step-by-step scan that
+rs._cyclic_runs vectorizes.
 """
 
 from __future__ import annotations
@@ -133,3 +134,26 @@ def oracle_decode(code, received, window):
     if not np.array_equal(cand[check_idx], rcv[check_idx]):
         raise NotACodeword("received word inconsistent outside the window")
     return cand
+
+
+def cyclic_runs_loop(mask: np.ndarray):
+    """Longest cyclic run of True per row, (length, top_index, ambiguous), by
+    walking the doubled mask one column at a time.  Ties keep the smallest
+    top index and set the ambiguous flag."""
+    batch, n = mask.shape
+    m = mask.astype(np.int64)
+    f = np.zeros(batch, dtype=np.int64)
+    best = np.zeros(batch, dtype=np.int64)
+    btop = np.full(batch, -1, dtype=np.int64)
+    amb = np.zeros(batch, dtype=bool)
+    for c in range(2 * n):
+        f = (f + 1) * m[:, c % n]
+        if c >= n:
+            e = c - n
+            length = np.minimum(f, n)
+            better = length > best
+            tie = (~better) & (best > 0) & (length == best) & (btop != e)
+            amb = np.where(better, False, amb | tie)
+            best = np.where(better, length, best)
+            btop = np.where(better, e, btop)
+    return best, btop, amb

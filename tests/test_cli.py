@@ -104,6 +104,27 @@ def test_encode_corrupt_decode_unique(tmp_path, gf256):
     assert read_vals(rp) == read_vals(cp)
 
 
+def test_prime_field_roundtrip(tmp_path):
+    # GF(13) has no modulus: the header carries 0x0, which read_words ignores
+    msg = [1, 2, 3, 4]
+    mp, cp, bp, rp = (str(tmp_path / x) for x in
+                      ("m.txt", "c.txt", "b.txt", "r.txt"))
+    write_msg(mp, msg)
+    base = ["--field", "13", "--group", "t=12,gamma=0x1", "--k", "4"]
+    assert main(["encode", *base, "--in", mp, "--out", cp]) == 0
+    assert open(cp).readline().split()[:4] == ["#", "gf", "13", "1"]
+    assert main(["corrupt", "--field", "13", "--group", "t=12,gamma=0x1",
+                 "--cyclic", "--burst-len", "3", "--seed", "5",
+                 "--in", cp, "--out", bp]) == 0
+    assert read_vals(bp) != read_vals(cp)
+    assert main(["decode", *base, "--mode", "wu", "--in", bp,
+                 "--out", rp]) == 0
+    assert read_vals(rp) == read_vals(cp)
+    assert main(["decode", *base, "--mode", "wu", "--emit", "message",
+                 "--in", bp, "--out", rp]) == 0
+    assert read_vals(rp) == [msg]
+
+
 def test_decode_wu_wrapped_burst(tmp_path):
     rng = np.random.default_rng(8)
     msg = rng.integers(0, 256, 223)

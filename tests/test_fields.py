@@ -75,6 +75,30 @@ def test_vectorized_matches_scalar(gf64):
     assert F.pow(a, 5).tolist() == [F.pow(int(x), 5) for x in a]
 
 
+@pytest.mark.parametrize("p,d", [(2, 4), (3, 2), (13, 1)])
+def test_mul_matches_scalar_on_all_pairs(p, d):
+    F = get_field(p, d)
+    a, b = np.divmod(np.arange(F.q * F.q), F.q)
+    got = F.mul(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == [F._scalar_mul(int(x), int(y))
+                            for x, y in zip(a, b)]
+
+
+def test_zero_absorbing_tables_gf65536():
+    F = get_field(2, 16)
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, F.q, 10 ** 5)
+    b = rng.integers(0, F.q, 10 ** 5)
+    a[:1000] = 0
+    b[500:1500] = 0
+    want = [F._scalar_mul(int(x), int(y)) for x, y in zip(a, b)]
+    assert F.mul(a, b).tolist() == want
+    # the narrow copy the transforms read holds the same products
+    assert F._exp0n.dtype == np.uint16
+    assert F._exp0n[F._log0[a] + F._log0[b]].tolist() == want
+
+
 def test_pow_edge_cases(gf16):
     F = gf16
     assert F.pow(0, 0) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burstfold.errors import (
     DuplicatePoints,
@@ -13,6 +14,7 @@ from burstfold.fields import (
     element_of_order,
     get_field,
     linearized_polynomial,
+    prime_factors_with_multiplicity,
 )
 from burstfold.gfft import (
     GfftPlan,
@@ -41,6 +43,16 @@ def mixed_plan_gf64():
     L = linearized_polynomial(F, basis, ell=4)
     gamma = next(x for x in range(1, 64) if L.eval(x) != 0)
     return F, plan_build(F, AffineGroupSpec(t=3, ell=4, w_basis=basis, gamma=gamma))
+
+
+def mixed_plan_gf9():
+    # odd characteristic with d > 1, so field addition is digitwise mod 3:
+    # a radix-3 additive level under a radix-2 multiplicative one
+    F = get_field(3, 2)
+    basis = default_subspace_basis(F, 3, 1)
+    L = linearized_polynomial(F, basis, ell=3)
+    gamma = next(x for x in range(1, 9) if L.eval(x) != 0)
+    return F, plan_build(F, AffineGroupSpec(t=2, ell=3, w_basis=basis, gamma=gamma))
 
 
 def composite_basis_polys(F, plan):
@@ -91,7 +103,7 @@ def test_composite_basis_is_degree_graded(make):
 
 
 @pytest.mark.parametrize("make", [cyclic_plan_gf13, additive_plan_gf16,
-                                  mixed_plan_gf64])
+                                  mixed_plan_gf64, mixed_plan_gf9])
 def test_forward_matches_dense_oracle(make):
     F, plan = make()
     basis = composite_basis_polys(F, plan)
@@ -128,6 +140,48 @@ def test_large_additive_roundtrip():
     rng = np.random.default_rng(2)
     v = rng.integers(0, 1024, size=1024)
     assert np.array_equal(plan.inverse(plan.forward(v)), v)
+
+
+@st.composite
+def random_plans(draw):
+    """A field up to GF(2^8), a subfield GF(ell), t | ell - 1, a subspace of
+    dimension wdim and a coset shift.  With t = 1 the shift may lie in the
+    subspace (gamma = 0 puts 0 among the points, so additive levels carry
+    zero nodes); with t > 1 it must not."""
+    p, d = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 6), (2, 8),
+                                 (3, 1), (3, 2), (5, 1), (7, 1), (13, 1)]))
+    F = get_field(p, d)
+    s = draw(st.sampled_from([s for s in range(1, d + 1) if d % s == 0]))
+    ell = p ** s
+    t = draw(st.sampled_from([t for t in range(1, ell) if (ell - 1) % t == 0]))
+    max_w = d // s - (t > 1)
+    wdim = draw(st.integers(0, max_w).filter(
+        lambda w: t * ell ** w <= 256))
+    basis = default_subspace_basis(F, ell, wdim)
+    if t == 1:
+        gamma = draw(st.just(0) | st.integers(0, F.q - 1))
+    else:
+        L = linearized_polynomial(F, basis, ell)
+        gamma = draw(st.sampled_from(
+            [x for x in range(1, F.q) if L.eval(x) != 0]))
+    factors = draw(st.permutations(prime_factors_with_multiplicity(t)))
+    group = AffineGroupSpec(t=t, ell=ell, w_basis=basis, gamma=gamma,
+                            t_factors=list(factors) or None)
+    return F, plan_build(F, group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(made=random_plans(), batch=st.sampled_from([None, 1, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_inverse_forward_identity_property(made, batch, seed):
+    F, plan = made
+    shape = (plan.n,) if batch is None else (batch, plan.n)
+    x = np.random.default_rng(seed).integers(0, F.q, size=shape)
+    for there, back in ((plan.forward, plan.inverse),
+                        (plan.inverse, plan.forward)):
+        y = there(x)
+        assert y.shape == x.shape and y.dtype == np.int64
+        assert np.array_equal(back(y), x)
 
 
 @pytest.mark.parametrize("make,s", [(cyclic_plan_gf13, 2),

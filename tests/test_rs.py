@@ -12,6 +12,7 @@ from burstfold.fields import AffineGroupSpec, get_field
 from burstfold.gfft import plan_build
 from burstfold.rs import (
     RsCode,
+    _cyclic_runs,
     check_polynomial,
     erasure_decode,
     longest_root_run,
@@ -22,7 +23,12 @@ from burstfold.rs import (
     wu_decode_batch,
 )
 
-from reference import lagrange_interpolate, poly_eval, poly_trim
+from reference import (
+    cyclic_runs_loop,
+    lagrange_interpolate,
+    poly_eval,
+    poly_trim,
+)
 from test_gfft import additive_plan_gf16, cyclic_plan_gf13, mixed_plan_gf64
 
 
@@ -299,3 +305,17 @@ def test_longest_root_run_direct():
     ones[0] = 1  # constant 1: no roots anywhere
     with pytest.raises(NoRootRun):
         longest_root_run(code, ones)
+
+
+def test_cyclic_runs_matches_loop():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5, 17, 64):
+        # densities from empty to full, so long, wrapped and tied runs occur
+        mask = rng.random((600, n)) < rng.random((600, 1))
+        mask[0] = True
+        mask[1] = False
+        got = _cyclic_runs(mask)
+        want = cyclic_runs_loop(mask)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
