@@ -64,6 +64,7 @@ from .folding import (
 )
 from .rs import (
     RsCode,
+    WuBatch,
     WuOutcome,
     check_polynomial,
     erasure_decode,

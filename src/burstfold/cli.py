@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fields import AffineGroupSpec, Field, default_subspace_basis
 from .gfft import plan_build
-from .rs import RsCode, wu_decode
+from .rs import RsCode, wu_decode, wu_decode_batch
 from .decoders import list_decode, unique_decode_batch
 from .hermitian import HermitianCode, HermitianCurve
 
@@ -221,7 +221,7 @@ def _decode_words(args, code, level) -> int:
         failed = not good
     else:
         if args.mode == "wu":
-            outs = [wu_decode(code, w, e=args.e) for w in words]
+            outs = wu_decode_batch(code, np.stack(words), e=args.e)
         else:
             outs = unique_decode_batch(code, np.stack(words), level,
                                        e=args.e, radius=args.radius,
@@ -234,6 +234,7 @@ def _decode_words(args, code, level) -> int:
             if args.mode == "wu":
                 r["run"] = o.run_length
             r["ambiguous"] = o.ambiguous
+            r["reason"] = o.reason
             if o.status == "ok":
                 good.append(code.message_from_word(o.codeword)
                             if args.emit == "message" else o.codeword)

@@ -25,6 +25,12 @@ from .errors import ConfigInfeasible, DetectedFailure
 from .folding import folded_burst_bound
 from .gfft import GfftPlan
 from .rs import (
+    BURST_CHECK,
+    NO_COVER,
+    NO_ROW_OK,
+    REASONS,
+    REERASE_INCONSISTENT,
+    STRICT_ROW_FAILED,
     erasure_fill_batch,
     plan_window_tables,
     row_code,
@@ -36,11 +42,13 @@ from .rs import (
 class UniqueOutcome:
     """status 'ok' or 'detected'; codeword in enumeration order; col_window
     is the (start, length) column interval the correction used (None when no
-    correction was needed or the decode failed)."""
+    correction was needed or the decode failed); reason names why a
+    'detected' decode failed (see rs.REASONS)."""
     status: str
     codeword: np.ndarray | None
     col_window: tuple[int, int] | None
     ambiguous: bool
+    reason: str | None = None
 
 
 def _burst_within(field, rcv, cands, radius):
@@ -144,83 +152,83 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
         rcv = rcv[None]
     B = rcv.shape[0]
     rows_flat = plan.tau_forward(fold_level, rcv).reshape(B * m, n_s)
-    classes = _row_classes(dims, B, m)
     row_ok = np.zeros(B * m, dtype=bool)
     row_start = np.zeros(B * m, dtype=np.int64)
     row_len = np.zeros(B * m, dtype=np.int64)
     row_amb = np.zeros(B * m, dtype=bool)
     cand_rows = rows_flat.copy()
-    for kd, flat in classes.items():
+    for kd, flat in _row_classes(dims, B, m).items():
         outs = wu_decode_batch(row_code(sub, kd), rows_flat[flat], e)
-        for j, t in enumerate(flat):
-            o = outs[j]
-            if o.status == "ok":
-                row_ok[t] = True
-                row_start[t], row_len[t] = o.window
-                cand_rows[t] = o.codeword
-            row_amb[t] = o.ambiguous
-        # one outcome object per row: free them before the next class runs
-        del outs
-    statuses = ["ok"] * B
-    col_windows: list[tuple[int, int] | None] = [None] * B
-    ambiguous = np.zeros(B, dtype=bool)
-    dims_arr = np.asarray(dims)
-    for t in range(B):
-        sl = slice(t * m, (t + 1) * m)
-        oks = row_ok[sl]
-        ambiguous[t] = bool(row_amb[sl].any())
-        if strict:
-            if not oks.all():
-                statuses[t] = "detected"
-            else:
-                wins = {(int(s), int(l))
-                        for s, l in zip(row_start[sl], row_len[sl])}
-                col_windows[t] = max(wins, key=lambda w: w[1])
-            continue
-        if not oks.any():
-            statuses[t] = "detected"
-            continue
-        nz = [(int(row_start[sl][i]), int(row_len[sl][i]))
-              for i in range(m) if oks[i] and row_len[sl][i] > 0]
-        if oks.all():
-            # every row corrected itself -- a row may legitimately report a
-            # sub-window of the vector burst (its components can vanish on a
-            # boundary column), so keep the per-row corrections and let the
-            # final burst check arbitrate
-            col_windows[t] = max(nz, key=lambda w: w[1]) if nz else None
-            continue
+        acc = flat[outs.ok]
+        row_ok[acc] = True
+        row_start[acc] = outs.start[outs.ok]
+        row_len[acc] = outs.length[outs.ok]
+        row_amb[flat] = outs.ambiguous
+        cand_rows[acc] = outs.codewords[outs.ok]
+        del outs  # free the class's candidates before the next class runs
+    oks = row_ok.reshape(B, m)
+    starts = row_start.reshape(B, m)
+    lens = row_len.reshape(B, m)
+    ambiguous = row_amb.reshape(B, m).any(axis=1)
+    all_ok = oks.all(axis=1)
+    reason = np.zeros(B, dtype=np.int8)
+    col_start = np.full(B, -1, dtype=np.int64)  # -1: no column window
+    col_len = np.full(B, -1, dtype=np.int64)
+    if strict:
+        reason[~all_ok] = STRICT_ROW_FAILED
+        for t in np.flatnonzero(all_ok):
+            wins = {(int(s), int(l)) for s, l in zip(starts[t], lens[t])}
+            col_start[t], col_len[t] = max(wins, key=lambda w: w[1])
+        fallback = ()
+    else:
+        reason[~oks.any(axis=1)] = NO_ROW_OK
+        # every row corrected itself -- a row may legitimately report a
+        # sub-window of the vector burst (its components can vanish on a
+        # boundary column), so keep the per-row corrections, report the
+        # first longest row window and let the final burst check arbitrate
+        top = np.where(oks, lens, 0).argmax(axis=1)
+        top_len = lens[np.arange(B), top]
+        win = all_ok & (top_len > 0)
+        col_start[win] = starts[win, top[win]]
+        col_len[win] = top_len[win]
+        fallback = np.flatnonzero(~all_ok & (reason == 0))
+    cap = n_s - kmax - e
+    for t in fallback:
         # some rows failed: re-erase everything on a window covering all the
         # successful reports (covering is safe; an exact-label vote is not)
-        cap = n_s - kmax - e
+        nz = [(int(s), int(l)) for s, l, o in zip(starts[t], lens[t], oks[t])
+              if o and l > 0]
         cover = _cover_window(nz, n_s) if nz else None
         if cover is None or cover[1] > cap:
             votes = Counter(w for w in nz if w[1] <= cap)
             if not votes:
-                statuses[t] = "detected"
+                reason[t] = NO_COVER
                 continue
-            top = max(votes.values())
-            cover = min(w for w, c in votes.items() if c == top)
-        col_windows[t] = cover
+            top_votes = max(votes.values())
+            cover = min(w for w, c in votes.items() if c == top_votes)
+        col_start[t], col_len[t] = cover
         mask, lam, lamp = plan_window_tables(sub, cover[0], cover[1],
                                              cyclic=True)
         for i in range(m):
             c, _, ok1 = erasure_fill_batch(
-                sub, rows_flat[t * m + i], mask, lam, lamp,
-                int(dims_arr[i]))
+                sub, rows_flat[t * m + i], mask, lam, lamp, int(dims[i]))
             if not ok1:
-                statuses[t] = "detected"
+                reason[t] = REERASE_INCONSISTENT
                 break
             cand_rows[t * m + i] = c
     cands = plan.tau_inverse(fold_level, cand_rows.reshape(B, m, n_s))
     within = _burst_within(F, rcv, cands, radius)
+    reason[(reason == 0) & ~within] = BURST_CHECK
     outcomes = []
-    for t in range(B):
-        if statuses[t] == "ok" and within[t]:
-            outcomes.append(UniqueOutcome(
-                "ok", cands[t], col_windows[t], bool(ambiguous[t])))
+    for t, (why, s, ln, amb) in enumerate(zip(
+            reason.tolist(), col_start.tolist(), col_len.tolist(),
+            ambiguous.tolist())):
+        window = None if s < 0 else (s, ln)
+        if why:
+            outcomes.append(UniqueOutcome("detected", None, window, amb,
+                                          REASONS[why]))
         else:
-            outcomes.append(UniqueOutcome(
-                "detected", None, col_windows[t], bool(ambiguous[t])))
+            outcomes.append(UniqueOutcome("ok", cands[t], window, amb))
     return outcomes[0] if single else outcomes
 
 
@@ -243,7 +251,8 @@ def list_decode(code, received, fold_level: int, radius: int | None = None):
     if radius is None:
         radius = code.default_list_radius(fold_level)
     return interleaved_list_decode(
-        code.plan, fold_level, code.fold_dims(fold_level), received, radius,
+        code.plan, fold_level, code.fold_dims(fold_level),
+        code.plan.field.check_symbols(received), radius,
         row_plan=code.row_plan(fold_level))
 
 
@@ -261,7 +270,8 @@ def unique_decode(code, received, fold_level: int, e: int = 1,
                               e=e, radius=radius, strict=strict)[0]
     if out.status != "ok":
         raise DetectedFailure(
-            f"burst decoding failed (column window {out.col_window})")
+            f"burst decoding failed: {out.reason} "
+            f"(column window {out.col_window})")
     return code.message_from_word(out.codeword), out.codeword, out
 
 
@@ -269,7 +279,7 @@ def unique_decode_batch(code, received, fold_level: int, e: int = 1,
                         radius: int | None = None, strict: bool = False):
     if radius is None:
         radius = default_unique_radius(code, fold_level, e)
-    rcv = np.asarray(received, dtype=np.int64).reshape(-1, code.n)
+    rcv = code.plan.field.check_symbols(received).reshape(-1, code.n)
     return interleaved_unique_decode(
         code.plan, fold_level, code.fold_dims(fold_level), rcv, e=e,
         radius=radius, strict=strict, row_plan=code.row_plan(fold_level))

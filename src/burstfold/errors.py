@@ -114,7 +114,8 @@ class IndexOutsideBasis(BurstfoldError):
     """Message index falls outside the function-space basis."""
 
 
-# --- word files ---
+# --- input symbols ---
 
 class InvalidSymbol(BurstfoldError):
-    """A word-file line is not the hex code of a field element."""
+    """A symbol (a word-file line, a message or received entry) is not the
+    code of a field element."""

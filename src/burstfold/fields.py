@@ -27,6 +27,7 @@ from .errors import (
     DuplicatePoints,
     FieldTooLarge,
     GammaInKernel,
+    InvalidSymbol,
     NonPrimeCharacteristic,
     NoSuchOrder,
     ReducibleModulus,
@@ -224,20 +225,6 @@ class Field:
 
     # -- construction-time scalar arithmetic (no tables yet) --
 
-    def _scalar_add(self, a: int, b: int) -> int:
-        p, d = self.p, self.d
-        if p == 2:
-            return a ^ b
-        if d == 1:
-            return (a + b) % p
-        out, pw = 0, 1
-        for _ in range(d):
-            out += ((a + b) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return out
-
     def _scalar_mul(self, a: int, b: int) -> int:
         p, d = self.p, self.d
         if d == 1:
@@ -296,6 +283,19 @@ class Field:
         # narrow copy for the transform butterflies: uint8 up to GF(2^8),
         # uint16 up to GF(2^16), so the table stays cache-sized
         self._exp0n = exp0.astype(np.min_scalar_type(q1))
+
+    # -- input boundary --
+
+    def check_symbols(self, values) -> np.ndarray:
+        """values as an int64 array; raises InvalidSymbol unless every entry
+        is an element code in [0, q).  One pass: viewed as unsigned, a
+        negative code is at least 2^63."""
+        arr = np.asarray(values, dtype=np.int64)
+        if arr.size and arr.view(np.uint64).max() >= self.q:
+            bad = arr[(arr < 0) | (arr >= self.q)].flat[0]
+            raise InvalidSymbol(
+                f"{bad} is not the code of an element of GF({self.q})")
+        return arr
 
     # -- public arithmetic: int or int64 ndarray, elementwise --
 

@@ -258,15 +258,13 @@ class GfftPlan:
             return arr, False
         raise LengthMismatch("expected a vector or a batch of vectors")
 
-    def _ascend(self, B: np.ndarray, d_hi: int, node_slices=None) -> np.ndarray:
+    def _ascend(self, B: np.ndarray, d_hi: int) -> np.ndarray:
         """Run butterfly combine steps for depths d_hi-1 .. 0.
 
         B: (batch, N) where N = prod(factors[:d_hi]) * (values per sub-problem).
-        With node_slices=None the full-plan tables are used; otherwise
-        node_slices[d] replaces _lv_tabs[d].  Each level is p-1 steps of one
-        exp0 lookup and one field add, run on slabs of about CHUNK elements;
-        field elements stay in exp0's narrow dtype between levels in
-        characteristic 2.
+        Each level is p-1 steps of one exp0 lookup and one field add, run on
+        slabs of about CHUNK elements; field elements stay in exp0's narrow
+        dtype between levels in characteristic 2.
         """
         F = self.field
         log0, exp0 = F._log0, F._exp0n
@@ -277,7 +275,7 @@ class GfftPlan:
             p = self.factors[d]
             m_d = self.ms[d]
             nJ = N // (m_d * p)
-            LV = self._lv_tabs[d] if node_slices is None else node_slices[d]
+            LV = self._lv_tabs[d]
             A = B.reshape(batch * m_d, p, nJ)
             out = np.empty((batch * m_d, nJ, p), dtype=dt)
             step = max(1, CHUNK // (p * nJ))
@@ -298,9 +296,8 @@ class GfftPlan:
             B = out.reshape(batch, N)
         return B.astype(np.int64, copy=False)
 
-    def _descend(self, B: np.ndarray, d_hi: int, vinv_slices=None) -> np.ndarray:
-        """Run butterfly split steps for depths 0 .. d_hi-1 (inverse order);
-        vinv_slices[d], when given, replaces _lvi_tabs[d]."""
+    def _descend(self, B: np.ndarray, d_hi: int) -> np.ndarray:
+        """Run butterfly split steps for depths 0 .. d_hi-1 (inverse order)."""
         F = self.field
         log0, exp0 = F._log0, F._exp0n
         char2 = F.p == 2  # addition is XOR, done in place
@@ -310,7 +307,7 @@ class GfftPlan:
             p = self.factors[d]
             m_d = self.ms[d]
             nJ = N // (m_d * p)
-            LVi = self._lvi_tabs[d] if vinv_slices is None else vinv_slices[d]
+            LVi = self._lvi_tabs[d]
             A = B.reshape(batch * m_d, nJ, p)
             out = np.empty((batch * m_d, p, nJ), dtype=dt)
             step = max(1, CHUNK // (p * nJ))
@@ -402,32 +399,6 @@ class GfftPlan:
                 self.field, self.factors[s:], gen, group=None,
                 check=False, _shared=shared, deriv_info=sub_deriv)
         return self._sub_cache[s]
-
-    def local_column_transform(self, s: int, block: int, vec,
-                               inverse: bool = False):
-        """Transform within a single level-s block: coefficients of the local
-        interpolation problem <-> values at the block's m_s points."""
-        if not 0 <= s <= self.depth:
-            raise LevelOutOfRange(f"level {s} not in 0..{self.depth}")
-        m_s = self.ms[s]
-        if not 0 <= block < self.n // m_s:
-            raise LevelOutOfRange(f"block {block} out of range at level {s}")
-        B, single = self._as_batch(vec, m_s)
-        node_sl, vinv_sl = [], []
-        for d in range(s):
-            m_d1 = self.ms[d + 1]
-            lo = block * (m_s // m_d1)
-            hi = (block + 1) * (m_s // m_d1)
-            node_sl.append(self._lv_tabs[d][:, :, lo:hi])
-            vinv_sl.append(self._lvi_tabs[d][:, :, lo:hi])
-        if inverse:
-            out = self._descend(B, s, vinv_slices=vinv_sl)
-            out = out[:, self._drev(s)]
-        else:
-            out = np.empty_like(B)
-            out[:, self._drev(s)] = B
-            out = self._ascend(out, s, node_slices=node_sl)
-        return out[0] if single else out
 
 
 def plan_build(field: Field, group: AffineGroupSpec,

@@ -161,7 +161,7 @@ class HermitianCode:
     # -- encoding / membership --
 
     def encode(self, message):
-        msg = np.asarray(message, dtype=np.int64)
+        msg = self.curve.field.check_symbols(message)
         if msg.shape[-1] != self.k:
             raise IndexOutsideBasis(
                 f"message length {msg.shape[-1]} != dim {self.k}")

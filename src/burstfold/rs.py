@@ -16,6 +16,7 @@ in enumeration order; windows there are index windows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class RsCode:
     # -- encoding / membership --
 
     def encode(self, message):
-        msg = np.asarray(message, dtype=np.int64)
+        msg = self.field.check_symbols(message)
         if msg.shape[-1] != self.k:
             raise DimensionOutOfRange(
                 f"message length {msg.shape[-1]} != k={self.k}")
@@ -277,7 +278,8 @@ def erasure_decode(code: RsCode, received, window):
         start = -start - 1
     mask, lam, lamp = plan_window_tables(code.plan, start, length, cyclic)
     cand, coeffs, ok = erasure_fill_batch(
-        code.plan, received, mask, lam, lamp, code.k)
+        code.plan, code.field.check_symbols(received), mask, lam, lamp,
+        code.k)
     if not ok:
         raise NotACodeword("received word inconsistent outside the window")
     return coeffs[:code.k], cand
@@ -363,16 +365,77 @@ def longest_root_run(code: RsCode, gamma_coeffs):
 # Burst decoding (localization + erasure fill)
 # ---------------------------------------------------------------------------
 
+# Why a decode reported "detected".  Reason arrays hold indices into REASONS,
+# 0 where the decode succeeded.  Row reasons, from wu_decode_batch:
+#   short_run             the longest root run is shorter than e+1
+#   gamma_zero            the check polynomial is all zero
+#   fill_inconsistent     the word disagrees with the code outside the window
+# Word reasons, from the interleaved unique decoder in decoders.py:
+#   no_row_ok             no row decoded itself
+#   no_cover              some rows failed, and neither a window covering the
+#                         other rows' reports nor any one report fits the cap
+#   reerase_inconsistent  a row disagrees with the code outside that window
+#   burst_check           the correction spans more than the radius
+#   strict_row_failed     strict mode, and some row failed
+# gamma_zero and fill_inconsistent guard the row decode: no received word has
+# been seen to reach either (tests/test_decode_core.py patches the locator to
+# make them fire).
+REASONS = (None, "short_run", "gamma_zero", "fill_inconsistent",
+           "no_row_ok", "no_cover", "reerase_inconsistent",
+           "burst_check", "strict_row_failed")
+(SHORT_RUN, GAMMA_ZERO, FILL_INCONSISTENT, NO_ROW_OK, NO_COVER,
+ REERASE_INCONSISTENT, BURST_CHECK, STRICT_ROW_FAILED) = range(1, 9)
+
+
 @dataclass
 class WuOutcome:
     """Result of one burst decode: status 'ok' or 'detected'; the candidate
     codeword (enumeration order), the inferred cyclic exponent window
-    (start exponent, length), and tie-break/ambiguity information."""
+    (start exponent, length), tie-break/ambiguity information, and for a
+    'detected' decode the name of its reason (see REASONS)."""
     status: str
     codeword: np.ndarray | None
     window: tuple[int, int] | None
     run_length: int
     ambiguous: bool
+    reason: str | None = None
+
+
+def _wu_outcome(ok, codeword, start, length, run, ambiguous, reason):
+    return WuOutcome("ok" if ok else "detected", codeword if ok else None,
+                     None if start < 0 else (start, length), run, ambiguous,
+                     REASONS[reason])
+
+
+@dataclass(eq=False)
+class WuBatch(Sequence):
+    """The outcomes of wu_decode_batch as arrays, one entry per row.
+    Indexing (negative indices too) and iteration yield WuOutcome."""
+    ok: np.ndarray          # the decode succeeded
+    codewords: np.ndarray   # (B, n) candidates, meaningful where ok
+    start: np.ndarray       # window start exponent, -1 for no window
+    length: np.ndarray      # window length, -1 for no window
+    run_length: np.ndarray  # longest cyclic root run
+    ambiguous: np.ndarray   # that run was tied
+    reason: np.ndarray      # index into REASONS, 0 where ok
+
+    def __len__(self) -> int:
+        return self.ok.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return _wu_outcome(bool(self.ok[i]), self.codewords[i],
+                           int(self.start[i]), int(self.length[i]),
+                           int(self.run_length[i]), bool(self.ambiguous[i]),
+                           int(self.reason[i]))
+
+    def __iter__(self):
+        return map(_wu_outcome, self.ok.tolist(), self.codewords,
+                   self.start.tolist(), self.length.tolist(),
+                   self.run_length.tolist(), self.ambiguous.tolist(),
+                   self.reason.tolist())
 
 
 def wu_decode(code: RsCode, received, e: int = 1) -> WuOutcome:
@@ -380,51 +443,47 @@ def wu_decode(code: RsCode, received, e: int = 1) -> WuOutcome:
                            e)[0]
 
 
-def wu_decode_batch(code: RsCode, received: np.ndarray, e: int = 1):
+def wu_decode_batch(code: RsCode, received: np.ndarray, e: int = 1
+                    ) -> WuBatch:
     """Locate-and-fill burst decoding of a batch, vectorized.
 
     A candidate is accepted only when the root run leaves margin e, i.e.
-    run length >= e+1, bounding the miscorrection probability by ~q^-e."""
-    F = code.field
+    run length >= e+1, bounding the miscorrection probability by ~q^-e.
+    Rows are grouped by inferred window, one erasure fill per window."""
     n, k = code.n, code.k
     r = n - k
-    rcv = np.asarray(received, dtype=np.int64)
-    B = rcv.shape[0]
+    rcv = code.field.check_symbols(received)
     synd = _syndromes(code, rcv)
     no_err = np.all(synd == 0, axis=1)
     gamma = check_polynomial(code, synd)
+    # Lam1's coefficients are q-binomials of the node ratio, never zero, so
+    # gamma vanishes only with the syndrome; an all-zero gamma would make
+    # every group element a root, so such a row is kept out of the scan
     gamma_zero = np.all(gamma == 0, axis=1) & ~no_err
     mask = _root_mask(code, gamma)
     mask[no_err | gamma_zero] = False
     best, btop, amb = _cyclic_runs(mask)
     del synd, gamma, mask  # free the locator arrays before the fills run
-    results: list[WuOutcome | None] = [None] * B
-    for t in np.flatnonzero(no_err):
-        results[t] = WuOutcome("ok", rcv[t].copy(), (0, 0), int(best[t]),
-                               False)
-    active = ~no_err
-    rejected = active & (best < e + 1)
-    for t in np.flatnonzero(rejected):
-        results[t] = WuOutcome("detected", None, None, int(best[t]),
-                               bool(amb[t]))
-    todo = np.flatnonzero(active & ~rejected)
+    ok = no_err.copy()
+    start = np.where(no_err, 0, -1)
+    length = start.copy()
+    reason = np.where(no_err, 0, np.where(gamma_zero, GAMMA_ZERO, SHORT_RUN)
+                      ).astype(np.int8)
+    cand = rcv.copy()
+    todo = np.flatnonzero(~no_err & (best >= e + 1))
     if todo.size:
-        lhat = r - best
-        start_exp = btop
-        labels = {}
-        for t in todo:
-            labels.setdefault((int(start_exp[t]), int(lhat[t])), []).append(t)
-        for (e0, ln), rows in labels.items():
-            rows = np.asarray(rows)
+        start[todo] = btop[todo]
+        length[todo] = r - best[todo]
+        # one label per window: start * (r+1) + length, grouped by sorting
+        key = start[todo] * (r + 1) + length[todo]
+        order = np.argsort(key, kind="stable")
+        labels, first = np.unique(key[order], return_index=True)
+        for label, rows in zip(labels.tolist(),
+                               np.split(todo[order], first[1:])):
+            e0, ln = divmod(label, r + 1)
             wmask, lam, lamp = plan_window_tables(code.plan, e0, ln,
                                                   cyclic=True)
-            cand, _, ok = erasure_fill_batch(
+            cand[rows], _, ok[rows] = erasure_fill_batch(
                 code.plan, rcv[rows], wmask, lam, lamp, k)
-            for i, t in enumerate(rows):
-                if ok[i]:
-                    results[t] = WuOutcome("ok", cand[i], (e0, ln),
-                                           int(best[t]), bool(amb[t]))
-                else:
-                    results[t] = WuOutcome("detected", None, (e0, ln),
-                                           int(best[t]), bool(amb[t]))
-    return results
+        reason[todo] = np.where(ok[todo], 0, FILL_INCONSISTENT)
+    return WuBatch(ok, cand, start, length, best, amb, reason)

@@ -5,15 +5,27 @@ lists/arrays of element codes, index = degree.  These are kept deliberately
 simple (Horner, naive convolution, textbook Lagrange) and share no machinery
 with the chain transforms, and so does oracle_decode, a brute-force
 Lagrange erasure decoder.  cyclic_runs_loop is the step-by-step scan that
-rs._cyclic_runs vectorizes.
+rs._cyclic_runs vectorizes; wu_decode_batch_loop and
+interleaved_unique_decode_loop are the per-row and per-word forms of the
+array decode core (rs.wu_decode_batch, decoders.interleaved_unique_decode).
+local_column_transform runs the transform inside one block of a chain level.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from burstfold.errors import DuplicateAbscissa, NotACodeword, WindowTooLong
+from burstfold import decoders, rs
+from burstfold.errors import (
+    DuplicateAbscissa,
+    LevelOutOfRange,
+    NotACodeword,
+    WindowTooLong,
+)
 from burstfold.fields import Field
+from burstfold.gfft import GfftPlan
 
 
 def poly_trim(coeffs) -> list[int]:
@@ -157,3 +169,139 @@ def cyclic_runs_loop(mask: np.ndarray):
             best = np.where(better, length, best)
             btop = np.where(better, e, btop)
     return best, btop, amb
+
+
+def local_column_transform(plan, s: int, block: int, vec,
+                           inverse: bool = False):
+    """Transform within a single level-s block of plan: coefficients of the
+    local interpolation problem <-> values at the block's m_s points.  The
+    block is a plan of its own, over the chain's first s radices, whose
+    generator tables are the plan's cut to the block."""
+    if not 0 <= s <= plan.depth:
+        raise LevelOutOfRange(f"level {s} not in 0..{plan.depth}")
+    m_s = plan.ms[s]
+    if not 0 <= block < plan.n // m_s:
+        raise LevelOutOfRange(f"block {block} out of range at level {s}")
+    lo = block * m_s
+    local = GfftPlan(plan.field, plan.factors[:s],
+                     [g[lo:lo + m_s] for g in plan.gen[:s + 1]], check=False)
+    return local.inverse(vec) if inverse else local.forward(vec)
+
+
+def wu_decode_batch_loop(code, received, e: int = 1):
+    """rs.wu_decode_batch one row at a time: a WuOutcome per row, rows
+    grouped by window label in a dict, one fill per label."""
+    n, k = code.n, code.k
+    r = n - k
+    rcv = np.asarray(received, dtype=np.int64)
+    B = rcv.shape[0]
+    synd = rs._syndromes(code, rcv)
+    no_err = np.all(synd == 0, axis=1)
+    gamma = rs.check_polynomial(code, synd)
+    gamma_zero = np.all(gamma == 0, axis=1) & ~no_err
+    mask = rs._root_mask(code, gamma)
+    mask[no_err | gamma_zero] = False
+    best, btop, amb = rs._cyclic_runs(mask)
+    results = [None] * B
+    for t in np.flatnonzero(no_err):
+        results[t] = rs.WuOutcome("ok", rcv[t].copy(), (0, 0), int(best[t]),
+                                  False)
+    active = ~no_err
+    rejected = active & (best < e + 1)
+    for t in np.flatnonzero(rejected):
+        results[t] = rs.WuOutcome("detected", None, None, int(best[t]),
+                                  bool(amb[t]))
+    todo = np.flatnonzero(active & ~rejected)
+    labels = {}
+    for t in todo:
+        labels.setdefault((int(btop[t]), int(r - best[t])), []).append(t)
+    for (e0, ln), rows in labels.items():
+        rows = np.asarray(rows)
+        wmask, lam, lamp = rs.plan_window_tables(code.plan, e0, ln,
+                                                 cyclic=True)
+        cand, _, ok = rs.erasure_fill_batch(code.plan, rcv[rows], wmask, lam,
+                                            lamp, k)
+        for i, t in enumerate(rows):
+            results[t] = rs.WuOutcome(
+                "ok" if ok[i] else "detected", cand[i] if ok[i] else None,
+                (e0, ln), int(best[t]), bool(amb[t]))
+    return results
+
+
+def interleaved_unique_decode_loop(plan, fold_level: int, dims, received,
+                                   e: int, radius: int, strict: bool = False,
+                                   row_plan=None):
+    """decoders.interleaved_unique_decode one word at a time, over
+    wu_decode_batch_loop's per-row outcomes (feasibility checks left out)."""
+    m = plan.block_size(fold_level)
+    n_s = plan.n // m
+    kmax = max(dims)
+    sub = row_plan if row_plan is not None else plan.sub_plan(fold_level)
+    F = plan.field
+    rcv = np.asarray(received, dtype=np.int64)
+    B = rcv.shape[0]
+    rows_flat = plan.tau_forward(fold_level, rcv).reshape(B * m, n_s)
+    row_ok = np.zeros(B * m, dtype=bool)
+    row_start = np.zeros(B * m, dtype=np.int64)
+    row_len = np.zeros(B * m, dtype=np.int64)
+    row_amb = np.zeros(B * m, dtype=bool)
+    cand_rows = rows_flat.copy()
+    for kd, flat in decoders._row_classes(dims, B, m).items():
+        outs = wu_decode_batch_loop(rs.row_code(sub, kd), rows_flat[flat], e)
+        for j, t in enumerate(flat):
+            o = outs[j]
+            if o.status == "ok":
+                row_ok[t] = True
+                row_start[t], row_len[t] = o.window
+                cand_rows[t] = o.codeword
+            row_amb[t] = o.ambiguous
+    statuses = ["ok"] * B
+    col_windows = [None] * B
+    ambiguous = np.zeros(B, dtype=bool)
+    for t in range(B):
+        sl = slice(t * m, (t + 1) * m)
+        oks = row_ok[sl]
+        ambiguous[t] = bool(row_amb[sl].any())
+        if strict:
+            if not oks.all():
+                statuses[t] = "detected"
+            else:
+                wins = {(int(s), int(l))
+                        for s, l in zip(row_start[sl], row_len[sl])}
+                col_windows[t] = max(wins, key=lambda w: w[1])
+            continue
+        if not oks.any():
+            statuses[t] = "detected"
+            continue
+        nz = [(int(row_start[sl][i]), int(row_len[sl][i]))
+              for i in range(m) if oks[i] and row_len[sl][i] > 0]
+        if oks.all():
+            col_windows[t] = max(nz, key=lambda w: w[1]) if nz else None
+            continue
+        cap = n_s - kmax - e
+        cover = decoders._cover_window(nz, n_s) if nz else None
+        if cover is None or cover[1] > cap:
+            votes = Counter(w for w in nz if w[1] <= cap)
+            if not votes:
+                statuses[t] = "detected"
+                continue
+            top = max(votes.values())
+            cover = min(w for w, c in votes.items() if c == top)
+        col_windows[t] = cover
+        mask, lam, lamp = rs.plan_window_tables(sub, cover[0], cover[1],
+                                                cyclic=True)
+        for i in range(m):
+            c, _, ok1 = rs.erasure_fill_batch(
+                sub, rows_flat[t * m + i], mask, lam, lamp, int(dims[i]))
+            if not ok1:
+                statuses[t] = "detected"
+                break
+            cand_rows[t * m + i] = c
+    cands = plan.tau_inverse(fold_level, cand_rows.reshape(B, m, n_s))
+    within = decoders._burst_within(F, rcv, cands, radius)
+    return [decoders.UniqueOutcome(
+                "ok", cands[t], col_windows[t], bool(ambiguous[t]))
+            if statuses[t] == "ok" and within[t] else
+            decoders.UniqueOutcome(
+                "detected", None, col_windows[t], bool(ambiguous[t]))
+            for t in range(B)]

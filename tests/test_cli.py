@@ -339,3 +339,51 @@ def test_wilson_interval():
     lo0, hi0 = wilson_interval(0, 50)
     assert lo0 == pytest.approx(0.0, abs=1e-9) and hi0 < 0.12
     assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+def test_decode_wu_batch_matches_per_word(tmp_path, capsys):
+    from burstfold.cli import plant_cyclic_burst
+    from burstfold.rs import RsCode
+
+    F = get_field(2, 8)
+    base = ["--field", "2^8:0x11d", "--group", G255, "--k", "223"]
+    code = RsCode(burstfold.plan_build(
+        F, burstfold.AffineGroupSpec.parse(F, G255)), 223)
+    rng = np.random.default_rng(12)
+    cws = code.encode(rng.integers(0, 256, (4, 223)))
+    words = [plant_cyclic_burst(code, rng, cws[0], 29, 250), cws[1],
+             rng.integers(0, 256, 255),
+             plant_cyclic_burst(code, rng, cws[3], 12, 7)]
+    bp = str(tmp_path / "b.txt")
+    write_words(bp, F, words)
+
+    def decode(path, fmt, out):
+        rc = main(["decode", *base, "--mode", "wu", "--e", "2",
+                   "--format", fmt, "--in", path, "--out", out])
+        return rc, capsys.readouterr().err
+
+    for fmt in ("hex", "json"):
+        out = str(tmp_path / f"all.{fmt}")
+        rc, err = decode(bp, fmt, out)
+        assert rc == 1  # the random word fails
+        whole = open(out).read()
+        parts, errs = [], []
+        for i, w in enumerate(words):
+            wp, op = (str(tmp_path / f"{x}{i}.{fmt}") for x in ("w", "o"))
+            write_words(wp, F, [w])
+            rc_i, err_i = decode(wp, fmt, op)
+            assert rc_i == (1 if i == 2 else 0)
+            parts.append(open(op).read())
+            errs.append(err_i.replace("word 0:", f"word {i}:"))
+        assert err == "".join(errs)
+        if fmt == "json":
+            results = [json.loads(p)["results"][0] for p in parts]
+            assert json.loads(whole) == {"mode": "wu", "results": results}
+            assert [r["reason"] for r in results] == \
+                [None, None, "short_run", None]
+        else:
+            assert read_vals(out) == [v for p in (tmp_path / f"o{i}.hex"
+                                                  for i in (0, 1, 3))
+                                      for v in read_vals(str(p))]
+            assert read_vals(out) == [list(map(int, cws[i]))
+                                      for i in (0, 1, 3)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burstfold.decoders import (
     DetectedFailure,
@@ -189,3 +190,45 @@ def test_unique_default_radius_formula():
 def test_row_dims_used_by_decoders():
     assert row_dims(120, 15) == [8] * 15
     assert max(row_dims(15, 9)) == 2
+
+
+@pytest.fixture(scope="module")
+def gf64_code():
+    return make_gf64_code()
+
+
+@pytest.fixture(scope="module")
+def gf256_code():
+    return make_gf256_code()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([1, 2]),
+       data=st.data())
+def test_list_output_contains_sent_word_property(gf64_code, seed, level,
+                                                 data):
+    F, code = gf64_code
+    radius = code.default_list_radius(level)
+    ln = data.draw(st.integers(0, radius), label="burst length")
+    start = data.draw(st.integers(0, code.n - ln), label="burst start")
+    rng = np.random.default_rng(seed)
+    cw = code.encode(rng.integers(0, 64, size=15))
+    cands = list_decode(code, plant_burst(F, rng, cw, ln, start), level)
+    assert any(np.array_equal(c, cw) for c in cands)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ln=st.integers(0, 254))
+def test_unique_ok_implies_burst_within_radius_property(gf256_code, seed,
+                                                        ln):
+    F, code = gf256_code
+    radius = default_unique_radius(code, 2, 2)
+    rng = np.random.default_rng(seed)
+    cw = code.encode(rng.integers(0, 256, size=120))
+    rcv = plant_burst(F, rng, cw, ln,
+                      int(rng.integers(0, code.n - ln + 1)))
+    out = unique_decode_batch(code, rcv, 2, e=2)[0]
+    if out.status == "ok":
+        assert code.is_codeword(out.codeword)
+        diff = np.flatnonzero(F.sub(rcv, out.codeword))
+        assert diff.size == 0 or diff[-1] - diff[0] + 1 <= radius
