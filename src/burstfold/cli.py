@@ -115,6 +115,11 @@ def build_code(args):
     return F, RsCode(plan, args.k)
 
 
+def _check_burst_len(length: int, n: int) -> None:
+    if not 0 <= length <= n:
+        raise BurstfoldError(f"burst length {length} outside 0..{n}")
+
+
 def plant_index_burst(F, rng, word, length, start):
     """Additive noise confined to [start, start+length), nonzero at both
     ends so the planted burst has exactly the stated span.  Length 0 is a
@@ -185,17 +190,15 @@ def cmd_corrupt(args) -> int:
         plan = plan_build(F, AffineGroupSpec.parse(F, args.group))
         code = RsCode(plan, 1)
     for w in words:
+        _check_burst_len(args.burst_len, w.shape[0])
         if args.cyclic:
             start = args.start if args.start is not None \
                 else int(rng.integers(0, w.shape[0]))
             out.append(plant_cyclic_burst(code, rng, w, args.burst_len,
                                           start))
         else:
-            hi = w.shape[0] - args.burst_len
-            if hi < 0:
-                raise LengthMismatch("burst longer than the word")
             start = args.start if args.start is not None \
-                else int(rng.integers(0, hi + 1))
+                else int(rng.integers(0, w.shape[0] - args.burst_len + 1))
             out.append(plant_index_burst(F, rng, w, args.burst_len, start))
     write_words(args.outfile, F, out)
     return 0
@@ -300,6 +303,7 @@ def _mc_trial(code, args, t):
 
 def cmd_mc(args) -> int:
     _, code = build_code(args)
+    _check_burst_len(args.burst_len, code.n)
     header = "trial,n,k,length,e,start,outcome"
     if args.timing:
         header += ",wall_time_ns"

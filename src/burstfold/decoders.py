@@ -31,6 +31,7 @@ from .rs import (
     REASONS,
     REERASE_INCONSISTENT,
     STRICT_ROW_FAILED,
+    cyclic_window_tables,
     erasure_fill_batch,
     plan_window_tables,
     row_code,
@@ -104,17 +105,11 @@ def interleaved_list_decode(plan: GfftPlan, fold_level: int, dims, received,
         rcv = rcv[None]
     B = rcv.shape[0]
     rows_flat = plan.tau_forward(fold_level, rcv).reshape(B * m, n_s)
-    classes = _row_classes(dims, B, m)
+    row_k = np.tile(np.asarray(dims), B)
     found: list[dict[bytes, np.ndarray]] = [dict() for _ in range(B)]
     for a in range(kmax + 1):
-        mask, lam, lamp = plan_window_tables(sub, a, W)
-        cand_rows = np.empty_like(rows_flat)
-        ok_rows = np.zeros(B * m, dtype=bool)
-        for kd, flat in classes.items():
-            c, _, ok = erasure_fill_batch(sub, rows_flat[flat], mask, lam,
-                                          lamp, kd)
-            cand_rows[flat] = c
-            ok_rows[flat] = ok
+        cand_rows, _, ok_rows = erasure_fill_batch(
+            sub, rows_flat, *plan_window_tables(sub, a, W), row_k)
         trial_ok = ok_rows.reshape(B, m).all(axis=1)
         if not trial_ok.any():
             continue
@@ -135,6 +130,8 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
     kmax = max(dims)
     if min(dims) < 1:
         raise ConfigInfeasible("every row needs dimension >= 1")
+    if e < 0:
+        raise ConfigInfeasible(f"root-run margin e={e} is negative")
     sub = row_plan if row_plan is not None else plan.sub_plan(fold_level)
     cyc = sub.cyclic()
     if cyc is None or not np.array_equal(cyc[2], np.arange(sub.n)):
@@ -207,15 +204,11 @@ def interleaved_unique_decode(plan: GfftPlan, fold_level: int, dims, received,
             top_votes = max(votes.values())
             cover = min(w for w, c in votes.items() if c == top_votes)
         col_start[t], col_len[t] = cover
-        mask, lam, lamp = plan_window_tables(sub, cover[0], cover[1],
-                                             cyclic=True)
-        for i in range(m):
-            c, _, ok1 = erasure_fill_batch(
-                sub, rows_flat[t * m + i], mask, lam, lamp, int(dims[i]))
-            if not ok1:
-                reason[t] = REERASE_INCONSISTENT
-                break
-            cand_rows[t * m + i] = c
+        rows = slice(t * m, (t + 1) * m)
+        cand_rows[rows], _, ok = erasure_fill_batch(
+            sub, rows_flat[rows], *cyclic_window_tables(sub, *cover), dims)
+        if not ok.all():
+            reason[t] = REERASE_INCONSISTENT
     cands = plan.tau_inverse(fold_level, cand_rows.reshape(B, m, n_s))
     within = _burst_within(F, rcv, cands, radius)
     reason[(reason == 0) & ~within] = BURST_CHECK

@@ -155,8 +155,8 @@ class GfftPlan:
         self._drev_cache: dict[int, np.ndarray] = {}
         self._sub_cache: dict[int, GfftPlan] = {}
         self._cyclic = -1  # lazily computed by cyclic()
-        # (cyclic, start, length) -> (mask, lam, lamp), least recently used
-        # first; see rs.plan_window_tables
+        # (start, length) -> (mask, lam, lamp), least recently used first;
+        # see rs.plan_window_tables
         self._window_cache: dict[tuple, tuple] = {}
         self._row_codes: dict = {}  # k -> rs.RsCode; see rs.row_code
 

@@ -2,10 +2,15 @@
 
 A code is the set of evaluations of composite-basis polynomials of degree
 < k on a plan's point set, in the plan's enumeration order.  Erasure
-decoding inside a window runs in transform time by multiplying with the
-window's vanishing polynomial and differentiating; burst localization for
-cyclic (coset) point sets uses the syndrome-times-window-vanisher check
-polynomial whose root run on the group pins down the burst interval.
+decoding inside a window takes two transforms: the interpolant co of the
+received word times the window's vanishing polynomial lam, then the values
+of co's derivative, which divided by lam' give the erased symbols.  The
+composite basis is degree graded, so the word is consistent outside the
+window iff co has degree < k + |window|.  On a cyclic exponent window lam
+and lam' are sliding products of (alpha^d - 1), read in closed form.  Burst
+localization for cyclic (coset) point sets uses the
+syndrome-times-window-vanisher check polynomial whose root run on the group
+pins down the burst interval.
 
 When the chain has more than one multiplicative factor the enumeration is
 the decimated (butterfly) order, not the exponent order xi*alpha^(j-1); the
@@ -34,6 +39,14 @@ from .folding import row_dims
 from .gfft import GfftPlan, composite_derivative, plan_build
 
 
+def _require_cyclic(plan: GfftPlan):
+    cyc = plan.cyclic()
+    if cyc is None:
+        raise CyclicStructureAbsent(
+            "plan points are not a cyclic coset in decimation order")
+    return cyc
+
+
 class RsCode:
     """Evaluation code of dimension k on a plan's points."""
 
@@ -50,24 +63,17 @@ class RsCode:
 
     # -- cyclic structure --
 
-    def _require_cyclic(self):
-        cyc = self.plan.cyclic()
-        if cyc is None:
-            raise CyclicStructureAbsent(
-                "plan points are not a cyclic coset in decimation order")
-        return cyc
-
     def natural_points(self) -> np.ndarray:
         """Points reordered so entry e is xi*alpha^e."""
-        xi, alpha, _, _ = self._require_cyclic()
+        xi, alpha, _, _ = _require_cyclic(self.plan)
         return self.field.geometric(alpha, self.n, first=xi)
 
     def to_natural(self, vec):
-        _, _, _, pos_of = self._require_cyclic()
+        _, _, _, pos_of = _require_cyclic(self.plan)
         return np.asarray(vec, dtype=np.int64)[..., pos_of]
 
     def from_natural(self, vec):
-        _, _, exps, _ = self._require_cyclic()
+        _, _, exps, _ = _require_cyclic(self.plan)
         return np.asarray(vec, dtype=np.int64)[..., exps]
 
     # -- encoding / membership --
@@ -104,7 +110,7 @@ class RsCode:
     # -- burst localization tables (cyclic) --
 
     def _ensure_locator_tables(self):
-        xi, alpha, exps, pos_of = self._require_cyclic()
+        xi, alpha, exps, pos_of = _require_cyclic(self.plan)
         if self._unit_plan is None:
             F = self.field
             n = self.n
@@ -142,56 +148,55 @@ def row_code(plan: GfftPlan, k: int) -> RsCode:
 # Window vanishing polynomials
 # ---------------------------------------------------------------------------
 
-def vanisher_from_nodes(field: Field, nodes) -> np.ndarray:
-    """Coefficients of prod (x - node), length len(nodes)+1."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    L = len(nodes)
-    c = np.zeros(L + 1, dtype=np.int64)
-    c[0] = 1
-    for j in range(L):
-        shifted = np.zeros_like(c)
-        shifted[1:] = c[:-1]
-        c = field.add(shifted, field.mul(c, field.neg(int(nodes[j]))))
-    return c
-
-
 # Windows kept per plan; the least recently used one is dropped beyond this.
 WINDOW_CACHE_SIZE = 64
 
 
-def plan_window_tables(plan: GfftPlan, start: int, length: int,
-                       cyclic: bool = False):
-    """Cached (mask, lam_values, lam_derivative_values) for an erasure window
-    on a plan: the index window [start, start+length), or with cyclic=True
-    the exponent window start, start+1, .. (mod n) of a cyclic plan, whose
-    nodes are xi*alpha^e = points[pos_of[e]] wherever they sit in the
-    enumeration.  The plan keeps the WINDOW_CACHE_SIZE most recently used
-    windows."""
-    if cyclic:
-        start %= plan.n
-    key = (cyclic, start, length)
+def plan_window_tables(plan: GfftPlan, start: int, length: int):
+    """Cached (mask, lam_values, lam_derivative_values) for the index window
+    [start, start+length) of a plan.  The plan keeps the WINDOW_CACHE_SIZE
+    most recently used windows."""
+    key = (start, length)
     cache = plan._window_cache
     tables = cache.pop(key, None)
     if tables is None:
         mask = np.zeros(plan.n, dtype=bool)
-        if cyclic:
-            _, _, _, pos_of = plan.cyclic()
-            idx = pos_of[(start + np.arange(length)) % plan.n]
-            mask[idx] = True
-            lam_co = np.zeros(plan.n, dtype=np.int64)
-            coeffs = vanisher_from_nodes(plan.field, plan.points[idx])
-            lam_co[:len(coeffs)] = coeffs
-            lam = plan.forward(lam_co)
-        else:
-            mask[start:start + length] = True
-            lam = window_vanisher_values(plan, start, length)
-            lam_co = plan.inverse(lam)
-        lamp = plan.forward(composite_derivative(plan, lam_co))
+        mask[start:start + length] = True
+        lam = window_vanisher_values(plan, start, length)
+        lamp = plan.forward(composite_derivative(plan, plan.inverse(lam)))
         tables = (mask, lam, lamp)
         if len(cache) >= WINDOW_CACHE_SIZE:
             del cache[next(iter(cache))]
     cache[key] = tables  # (re)inserted last: dicts keep insertion order
     return tables
+
+
+def cyclic_window_tables(plan: GfftPlan, start: int, length: int):
+    """(mask, lam_values, lam_derivative_values) for the exponent window
+    start, start+1, .. (mod n) of a cyclic plan, lam' on the window and 0
+    elsewhere.  With s = start, L = length and D = e - s, the nodes
+    xi*alpha^(s+i) give
+        lam(xi*alpha^e) = xi^L alpha^(sL + L(L-1)/2) P(D),
+        lam'(xi*alpha^(s+D)) = xi^(L-1) alpha^(s(L-1) + L(L-1)/2 - D) P(D),
+    where P(D) is the product of (alpha^d - 1) over d in [D-L+1, D], d != 0,
+    a sliding sum of logs over a doubled prefix array.  The factor d = 0
+    makes lam vanish exactly on the window, D < L (mod n)."""
+    xi, alpha, exps, _ = _require_cyclic(plan)
+    F = plan.field
+    n, q1, L = plan.n, F.q - 1, length
+    s = start % n
+    la, lx = int(F._log[alpha]), int(F._log[xi])
+    logs = F._log[F.sub(F.geometric(alpha, n), 1)]  # log[0] = 0 drops d = 0
+    prefix = np.concatenate([[0], np.cumsum(np.tile(logs, 2))])
+    D = (np.arange(n) - s) % n
+    lo = (D - L + 1) % n
+    slide = prefix[lo + L] - prefix[lo]
+    on = D < L
+    tri = L * (L - 1) // 2
+    lam = np.where(on, 0, F._exp[(slide + L * lx + (s * L + tri) * la) % q1])
+    lamp = np.where(on, F._exp[(slide + (L - 1) * lx
+                                + (s * (L - 1) + tri - D) * la) % q1], 0)
+    return on[exps], lam[exps], lamp[exps]  # exponent -> enumeration order
 
 
 def window_vanisher_values(plan: GfftPlan, start: int, length: int) -> np.ndarray:
@@ -225,37 +230,25 @@ def window_vanisher_values(plan: GfftPlan, start: int, length: int) -> np.ndarra
 # Erasure decoding
 # ---------------------------------------------------------------------------
 
-def erasure_fill_batch(plan: GfftPlan, received, mask, lam_vals, lamp_vals,
-                       k: int):
-    """Fill the masked window of each received word with the unique degree<k
-    extension of the unmasked values; returns (candidates, coefficients, ok).
+def erasure_fill_batch(plan: GfftPlan, received, mask, lam_vals, lamp_vals, k):
+    """Fill the masked window of each received row with the unique extension
+    of degree < k of its unmasked values; returns (candidates, co, ok).
 
-    ok[i] is True when the filled word is a codeword, i.e. when the unmasked
-    part of received[i] is consistent with some degree<k polynomial.
+    co is the interpolant of lam * received, a multiple of lam of degree
+    < n.  ok[i] is True when the unmasked part of received[i] agrees with
+    some polynomial of degree < k, i.e. when co[i] has no nonzero coefficient
+    at an index >= k + |window|.  k is one dimension for every row or an
+    array of one per row.
     """
     F = plan.field
     rcv = np.asarray(received, dtype=np.int64)
-    single = rcv.ndim == 1
-    if single:
-        rcv = rcv[None]
-    if k == 0:
-        cand = np.where(mask[None, :], 0, rcv)
-        ok = np.all(cand == 0, axis=1)
-        return (cand[0] if single else cand,
-                np.zeros_like(cand[0] if single else cand),
-                bool(ok[0]) if single else ok)
-    Fv = F.mul(rcv, lam_vals[None, :])
-    Fv[:, mask] = 0
-    co = plan.inverse(Fv)
+    co = plan.inverse(F.mul(rcv, lam_vals[None, :]))  # lam is 0 on the window
+    top = np.reshape(np.asarray(k) + np.count_nonzero(mask), (-1, 1))
+    lo = int(top.min())  # columns below every row's bound need no test
+    ok = ~np.any((co[:, lo:] != 0) & (np.arange(lo, plan.n) >= top), axis=1)
     Fp = plan.forward(composite_derivative(plan, co))
-    lamp_safe = np.where(mask, lamp_vals, 1)
-    fill = F.div(Fp, lamp_safe[None, :])
-    cand = np.where(mask[None, :], fill, rcv)
-    cc = plan.inverse(cand)
-    ok = np.all(cc[:, k:] == 0, axis=1)
-    if single:
-        return cand[0], cc[0], bool(ok[0])
-    return cand, cc, ok
+    cand = np.where(mask, F.div(Fp, np.where(mask, lamp_vals, 1)), rcv)
+    return cand, co, ok
 
 
 def erasure_decode(code: RsCode, received, window):
@@ -272,17 +265,15 @@ def erasure_decode(code: RsCode, received, window):
             f"window length {length} exceeds n-k = {code.n - code.k}")
     if length < 0 or (start >= 0 and start + length > code.n):
         raise WindowTooLong("window out of range")
-    cyclic = start < 0
-    if cyclic:
-        code._require_cyclic()
-        start = -start - 1
-    mask, lam, lamp = plan_window_tables(code.plan, start, length, cyclic)
-    cand, coeffs, ok = erasure_fill_batch(
-        code.plan, code.field.check_symbols(received), mask, lam, lamp,
-        code.k)
-    if not ok:
+    if start < 0:
+        tables = cyclic_window_tables(code.plan, -start - 1, length)
+    else:
+        tables = plan_window_tables(code.plan, start, length)
+    cand, _, ok = erasure_fill_batch(
+        code.plan, code.field.check_symbols(received)[None], *tables, code.k)
+    if not ok[0]:
         raise NotACodeword("received word inconsistent outside the window")
-    return coeffs[:code.k], cand
+    return code.message_from_word(cand[0]), cand[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +341,7 @@ def longest_root_run(code: RsCode, gamma_coeffs):
     """Longest cyclic run of group-element roots of the given polynomial:
     returns (top_exponent, run_length, ambiguous); raises NoRootRun if the
     polynomial (nonzero) has no root on the group."""
-    code._require_cyclic()
+    _require_cyclic(code.plan)
     g = np.asarray(gamma_coeffs, dtype=np.int64)[None]
     if np.all(g == 0):
         return (0, code.n, False)
@@ -450,6 +441,8 @@ def wu_decode_batch(code: RsCode, received: np.ndarray, e: int = 1
     A candidate is accepted only when the root run leaves margin e, i.e.
     run length >= e+1, bounding the miscorrection probability by ~q^-e.
     Rows are grouped by inferred window, one erasure fill per window."""
+    if e < 0:
+        raise ConfigInfeasible(f"root-run margin e={e} is negative")
     n, k = code.n, code.k
     r = n - k
     rcv = code.field.check_symbols(received)
@@ -481,9 +474,8 @@ def wu_decode_batch(code: RsCode, received: np.ndarray, e: int = 1
         for label, rows in zip(labels.tolist(),
                                np.split(todo[order], first[1:])):
             e0, ln = divmod(label, r + 1)
-            wmask, lam, lamp = plan_window_tables(code.plan, e0, ln,
-                                                  cyclic=True)
+            tables = cyclic_window_tables(code.plan, e0, ln)
             cand[rows], _, ok[rows] = erasure_fill_batch(
-                code.plan, rcv[rows], wmask, lam, lamp, k)
+                code.plan, rcv[rows], *tables, k)
         reason[todo] = np.where(ok[todo], 0, FILL_INCONSISTENT)
     return WuBatch(ok, cand, start, length, best, amb, reason)

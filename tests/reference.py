@@ -9,6 +9,11 @@ rs._cyclic_runs vectorizes; wu_decode_batch_loop and
 interleaved_unique_decode_loop are the per-row and per-word forms of the
 array decode core (rs.wu_decode_batch, decoders.interleaved_unique_decode).
 local_column_transform runs the transform inside one block of a chain level.
+cyclic_window_tables_nodes and erasure_fill_3t are the cyclic window tables
+and the fill that rs replaced by closed forms: the window's vanisher
+expanded from its nodes (vanisher_from_nodes) and pushed through two
+transforms, and a fill that checks its candidate with a third transform;
+the two decode loops run on them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from burstfold.errors import (
     WindowTooLong,
 )
 from burstfold.fields import Field
-from burstfold.gfft import GfftPlan
+from burstfold.gfft import GfftPlan, composite_derivative
 
 
 def poly_trim(coeffs) -> list[int]:
@@ -188,6 +193,64 @@ def local_column_transform(plan, s: int, block: int, vec,
     return local.inverse(vec) if inverse else local.forward(vec)
 
 
+def vanisher_from_nodes(field: Field, nodes) -> np.ndarray:
+    """Coefficients of prod (x - node), length len(nodes)+1."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    L = len(nodes)
+    c = np.zeros(L + 1, dtype=np.int64)
+    c[0] = 1
+    for j in range(L):
+        shifted = np.zeros_like(c)
+        shifted[1:] = c[:-1]
+        c = field.add(shifted, field.mul(c, field.neg(int(nodes[j]))))
+    return c
+
+
+def cyclic_window_tables_nodes(plan, start: int, length: int):
+    """(mask, lam, lam') of the exponent window start, start+1, .. (mod n)
+    of a cyclic plan, whose composite basis is the monomial one: lam from
+    its node product, both through forward transforms."""
+    _, _, _, pos_of = plan.cyclic()
+    idx = pos_of[(start + np.arange(length)) % plan.n]
+    mask = np.zeros(plan.n, dtype=bool)
+    mask[idx] = True
+    lam_co = np.zeros(plan.n, dtype=np.int64)
+    coeffs = vanisher_from_nodes(plan.field, plan.points[idx])
+    lam_co[:len(coeffs)] = coeffs
+    lam = plan.forward(lam_co)
+    lamp = plan.forward(composite_derivative(plan, lam_co))
+    return mask, lam, lamp
+
+
+def erasure_fill_3t(plan, received, mask, lam_vals, lamp_vals, k: int):
+    """Three-transform erasure fill of one word or a batch: returns
+    (candidates, coefficients of the candidates, ok), ok when the
+    candidate's inverse transform has no coefficient at index >= k."""
+    F = plan.field
+    rcv = np.asarray(received, dtype=np.int64)
+    single = rcv.ndim == 1
+    if single:
+        rcv = rcv[None]
+    if k == 0:
+        cand = np.where(mask[None, :], 0, rcv)
+        ok = np.all(cand == 0, axis=1)
+        return (cand[0] if single else cand,
+                np.zeros_like(cand[0] if single else cand),
+                bool(ok[0]) if single else ok)
+    Fv = F.mul(rcv, lam_vals[None, :])
+    Fv[:, mask] = 0
+    co = plan.inverse(Fv)
+    Fp = plan.forward(composite_derivative(plan, co))
+    lamp_safe = np.where(mask, lamp_vals, 1)
+    fill = F.div(Fp, lamp_safe[None, :])
+    cand = np.where(mask[None, :], fill, rcv)
+    cc = plan.inverse(cand)
+    ok = np.all(cc[:, k:] == 0, axis=1)
+    if single:
+        return cand[0], cc[0], bool(ok[0])
+    return cand, cc, ok
+
+
 def wu_decode_batch_loop(code, received, e: int = 1):
     """rs.wu_decode_batch one row at a time: a WuOutcome per row, rows
     grouped by window label in a dict, one fill per label."""
@@ -217,10 +280,9 @@ def wu_decode_batch_loop(code, received, e: int = 1):
         labels.setdefault((int(btop[t]), int(r - best[t])), []).append(t)
     for (e0, ln), rows in labels.items():
         rows = np.asarray(rows)
-        wmask, lam, lamp = rs.plan_window_tables(code.plan, e0, ln,
-                                                 cyclic=True)
-        cand, _, ok = rs.erasure_fill_batch(code.plan, rcv[rows], wmask, lam,
-                                            lamp, k)
+        wmask, lam, lamp = cyclic_window_tables_nodes(code.plan, e0, ln)
+        cand, _, ok = erasure_fill_3t(code.plan, rcv[rows], wmask, lam, lamp,
+                                      k)
         for i, t in enumerate(rows):
             results[t] = rs.WuOutcome(
                 "ok" if ok[i] else "detected", cand[i] if ok[i] else None,
@@ -288,10 +350,9 @@ def interleaved_unique_decode_loop(plan, fold_level: int, dims, received,
             top = max(votes.values())
             cover = min(w for w, c in votes.items() if c == top)
         col_windows[t] = cover
-        mask, lam, lamp = rs.plan_window_tables(sub, cover[0], cover[1],
-                                                cyclic=True)
+        mask, lam, lamp = cyclic_window_tables_nodes(sub, cover[0], cover[1])
         for i in range(m):
-            c, _, ok1 = rs.erasure_fill_batch(
+            c, _, ok1 = erasure_fill_3t(
                 sub, rows_flat[t * m + i], mask, lam, lamp, int(dims[i]))
             if not ok1:
                 statuses[t] = "detected"

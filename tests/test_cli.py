@@ -333,6 +333,35 @@ def test_bad_config_exit_codes(tmp_path):
                  "--k", "2", "--in", mp, "--out", "-"]) == 2
 
 
+def test_negative_margin_exit_code(tmp_path):
+    rng = np.random.default_rng(31)
+    wp = str(tmp_path / "w.txt")
+    write_words(wp, get_field(2, 8), [rng.integers(0, 256, 255)])
+    base = ["--field", "2^8:0x11d", "--group", G255F, "--k", "120"]
+    for mode in ("wu", "unique"):
+        assert main(["decode", *base, "--mode", mode, "--fold-level", "1",
+                     "--e", "-1", "--in", wp, "--out", "-"]) == 2
+    assert main(["mc", *base, "--mode", "wu", "--burst-len", "3",
+                 "--e", "-1", "--trials", "2", "--out", "-"]) == 2
+
+
+@pytest.mark.parametrize("length", ["-1", "256"])
+def test_burst_length_outside_word_exit_code(tmp_path, capsys, length):
+    rng = np.random.default_rng(32)
+    wp = str(tmp_path / "w.txt")
+    write_msg(wp, rng.integers(0, 256, 255))
+    for extra in ([], ["--cyclic", "--group", G255]):
+        assert main(["corrupt", "--field", "2^8:0x11d", "--burst-len",
+                     length, *extra, "--in", wp, "--out", "-"]) == 2
+    for mode in ("wu", "unique", "list"):
+        assert main(["mc", "--field", "2^8:0x11d", "--group", G255F,
+                     "--k", "120", "--mode", mode, "--fold-level", "1",
+                     "--burst-len", length, "--e", "2", "--trials", "2",
+                     "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"burst length {length} outside 0..255") == 5
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(999, 1000)
     assert 0.99 < lo < 0.999 < hi <= 1.0

@@ -15,7 +15,7 @@ from burstfold.decoders import (
     unique_decode,
     unique_decode_batch,
 )
-from burstfold.errors import DetectedFailure, InvalidSymbol
+from burstfold.errors import ConfigInfeasible, DetectedFailure, InvalidSymbol
 from burstfold.fields import AffineGroupSpec, Field, get_field
 from burstfold.gfft import plan_build
 from burstfold.hermitian import HermitianCode, HermitianCurve
@@ -262,6 +262,27 @@ def test_root_runs_name_consistent_windows(wu_code):
                            e=0)
     assert {o.reason for o in outs} == {None, "short_run"}
     assert all(o.run_length == 0 for o in outs if o.reason)
+
+
+def test_negative_margin_rejected(wu_code, folded_code, herm_code):
+    """A negative margin would accept any word with no root run as a
+    full-length window, so every decoder that takes e refuses it."""
+    rng = np.random.default_rng(79)
+    word = rng.integers(0, 256, wu_code.n)
+    with pytest.raises(ConfigInfeasible):
+        wu_decode(wu_code, word, e=-1)
+    with pytest.raises(ConfigInfeasible):
+        wu_decode_batch(wu_code, word[None], e=-1)
+    for fn in (unique_decode, unique_decode_batch):
+        with pytest.raises(ConfigInfeasible):
+            fn(folded_code, word, 1, e=-1)
+    with pytest.raises(ConfigInfeasible):
+        interleaved_unique_decode(
+            folded_code.plan, 1, folded_code.fold_dims(1), word[None], e=-2,
+            radius=10)
+    hword = rng.integers(0, 16, herm_code.n)
+    with pytest.raises(ConfigInfeasible):
+        unique_decode_batch(herm_code, hword, 2, e=-1, radius=1)
 
 
 def fold_rows(code, level, msg_seed):

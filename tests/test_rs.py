@@ -17,7 +17,6 @@ from burstfold.rs import (
     erasure_decode,
     longest_root_run,
     syndrome,
-    vanisher_from_nodes,
     window_vanisher_values,
     wu_decode,
     wu_decode_batch,
@@ -28,6 +27,7 @@ from reference import (
     lagrange_interpolate,
     poly_eval,
     poly_trim,
+    vanisher_from_nodes,
 )
 from test_gfft import additive_plan_gf16, cyclic_plan_gf13, mixed_plan_gf64
 
