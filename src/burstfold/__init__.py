@@ -27,6 +27,7 @@ from .errors import (
     LambdaTooSmall,
     LengthMismatch,
     LevelOutOfRange,
+    MalformedSpec,
     NoRootRun,
     NoSuchOrder,
     NonDivisor,

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
     FieldOrderMismatch,
     InvalidSymbol,
     LengthMismatch,
+    MalformedSpec,
 )
 from .fields import AffineGroupSpec, Field, default_subspace_basis
 from .gfft import plan_build
@@ -40,19 +42,20 @@ Z95 = 1.959963984540054
 def read_words(path: str, field: Field | None = None):
     """Returns a list of int64 arrays; validates the header against field
     when both are present, and every symbol: a hex code in [0, q)."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as f:
-            text = f.read()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except OSError as exc:
+        raise BurstfoldError(f"cannot read {path}: {exc.strerror}") from None
     words: list[list[int]] = [[]]
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) >= 4 and parts[0] == "gf" and field is not None:
-                p, d = int(parts[1]), int(parts[2])
-                mod = int(parts[3], 0)
+                try:
+                    p, d, mod = int(parts[1]), int(parts[2]), int(parts[3], 0)
+                except ValueError:
+                    raise MalformedSpec(f"bad file header {line!r}") from None
                 if (p, d) != (field.p, field.d) or \
                         (d > 1 and mod != field.modulus):
                     raise FieldOrderMismatch(
@@ -88,20 +91,17 @@ def write_words(path: str, field: Field, words) -> None:
         if i:
             lines.append("")
         lines.extend(format(int(v), "x") for v in w)
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise BurstfoldError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +197,11 @@ def cmd_corrupt(args) -> int:
             out.append(plant_cyclic_burst(code, rng, w, args.burst_len,
                                           start))
         else:
+            last = w.shape[0] - args.burst_len
             start = args.start if args.start is not None \
-                else int(rng.integers(0, w.shape[0] - args.burst_len + 1))
+                else int(rng.integers(0, last + 1))
+            if not 0 <= start <= last:
+                raise BurstfoldError(f"burst start {start} outside 0..{last}")
             out.append(plant_index_burst(F, rng, w, args.burst_len, start))
     write_words(args.outfile, F, out)
     return 0
@@ -304,6 +307,8 @@ def _mc_trial(code, args, t):
 def cmd_mc(args) -> int:
     _, code = build_code(args)
     _check_burst_len(args.burst_len, code.n)
+    if args.trials < 0:
+        raise BurstfoldError(f"--trials {args.trials} is negative")
     header = "trial,n,k,length,e,start,outcome"
     if args.timing:
         header += ",wall_time_ns"

@@ -114,8 +114,13 @@ class IndexOutsideBasis(BurstfoldError):
     """Message index falls outside the function-space basis."""
 
 
-# --- input symbols ---
+# --- input boundary ---
 
 class InvalidSymbol(BurstfoldError):
     """A symbol (a word-file line, a message or received entry) is not the
     code of a field element."""
+
+
+class MalformedSpec(BurstfoldError):
+    """A field or group specification (a spec string or a word-file header)
+    does not parse, or its values contradict each other."""

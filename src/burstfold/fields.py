@@ -28,6 +28,7 @@ from .errors import (
     FieldTooLarge,
     GammaInKernel,
     InvalidSymbol,
+    MalformedSpec,
     NonPrimeCharacteristic,
     NoSuchOrder,
     ReducibleModulus,
@@ -204,7 +205,7 @@ class Field:
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if d < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise MalformedSpec("extension degree must be >= 1")
         self.p = p
         self.d = d
         self.q = p ** d
@@ -412,16 +413,14 @@ class Field:
     @classmethod
     def parse(cls, text: str) -> "Field":
         """Parse 'p^d:0xM', 'p^d' (default modulus) or bare 'p'."""
-        text = text.strip()
-        mod = None
-        if ":" in text:
-            text, mtxt = text.split(":", 1)
-            mod = int(mtxt, 0)
-        if "^" in text:
-            ptxt, dtxt = text.split("^", 1)
-            p, d = int(ptxt), int(dtxt)
-        else:
-            p, d = int(text), 1
+        body, colon, mtxt = text.strip().partition(":")
+        ptxt, caret, dtxt = body.partition("^")
+        try:
+            p, d = int(ptxt), int(dtxt) if caret else 1
+            mod = int(mtxt, 0) if colon else None
+        except ValueError:
+            raise MalformedSpec(
+                f"field spec {text!r} is not p, p^d or p^d:0xMOD") from None
         return get_field(p, d, mod)
 
     def spec_string(self) -> str:
@@ -559,24 +558,32 @@ class AffineGroupSpec:
 
     @classmethod
     def parse(cls, field: Field, text: str) -> "AffineGroupSpec":
-        """Parse 't=12,wdim=0,gamma=0x1' (wbasis entries ';'-separated)."""
-        kv = {}
-        for part in text.split(","):
-            key, val = part.split("=", 1)
-            kv[key.strip()] = val.strip()
-        t = int(kv.get("t", "1"))
-        wdim = int(kv.get("wdim", "0"))
-        gamma = int(kv["gamma"], 0) if "gamma" in kv else 0
+        """Parse 't=12,wdim=0,gamma=0x1' (wbasis and tfactors entries
+        ';'-separated)."""
+        try:
+            kv = {key.strip(): val.strip() for key, val in
+                  (part.split("=", 1) for part in text.split(","))}
+            t = int(kv.get("t", "1"))
+            wdim = int(kv.get("wdim", "0"))
+            gamma = int(kv["gamma"], 0) if "gamma" in kv else 0
+            basis = [int(x, 0) for x in kv["wbasis"].split(";")] \
+                if kv.get("wbasis") else None
+            tf = [int(x) for x in kv["tfactors"].split(";")] \
+                if kv.get("tfactors") else None
+        except ValueError:
+            raise MalformedSpec(
+                f"group spec {text!r} is not key=value pairs with integer "
+                "values") from None
+        if t < 1 or wdim < 0:
+            raise MalformedSpec(f"t={t} must be >= 1 and wdim={wdim} >= 0")
+        if tf is not None and (min(tf) < 2 or math.prod(tf) != t):
+            raise MalformedSpec(
+                f"tfactors {tf} are not factors > 1 whose product is t={t}")
         ell = infer_subfield_order(field, t)
-        if "wbasis" in kv and kv["wbasis"]:
-            basis = [int(x, 0) for x in kv["wbasis"].split(";")]
-            if len(basis) != wdim:
-                raise ValueError("wbasis length disagrees with wdim")
-        else:
+        if basis is None:
             basis = default_subspace_basis(field, ell, wdim)
-        tf = None
-        if "tfactors" in kv and kv["tfactors"]:
-            tf = [int(x) for x in kv["tfactors"].split(";")]
+        elif len(basis) != wdim:
+            raise MalformedSpec("wbasis length disagrees with wdim")
         return cls(t=t, ell=ell, w_basis=basis, gamma=gamma, t_factors=tf)
 
     def spec_string(self) -> str:

@@ -155,9 +155,6 @@ class GfftPlan:
         self._drev_cache: dict[int, np.ndarray] = {}
         self._sub_cache: dict[int, GfftPlan] = {}
         self._cyclic = -1  # lazily computed by cyclic()
-        # (start, length) -> (mask, lam, lamp), least recently used first;
-        # see rs.plan_window_tables
-        self._window_cache: dict[tuple, tuple] = {}
         self._row_codes: dict = {}  # k -> rs.RsCode; see rs.row_code
 
     # -- setup --
@@ -445,9 +442,11 @@ def composite_derivative(plan: GfftPlan, coeffs):
     B, single = plan._as_batch(coeffs, n)
     D = np.zeros_like(B)
     idx = np.arange(n)
-    for s in range(w):
+    for s in range(w + 1):
         m_s = plan.ms[s]
-        dig = (idx // m_s) % plan.factors[s]
+        # the exponent of x_s: its digit at an additive level, and the whole
+        # quotient index at level w, where the tail is a power of x_w
+        dig = idx // m_s if s == w else (idx // m_s) % plan.factors[s]
         small = dig % p
         mask = small != 0
         if not np.any(mask):
@@ -455,15 +454,6 @@ def composite_derivative(plan: GfftPlan, coeffs):
         scale = F.mul(small[mask], cs[s])
         src = idx[mask]
         D[:, src - m_s] = F.add(D[:, src - m_s],
-                                F.mul(B[:, src], scale[None, :]))
-    m_w = plan.ms[w]
-    quot = idx // m_w
-    small = quot % p
-    mask = small != 0
-    if np.any(mask):
-        scale = F.mul(small[mask], cs[w])
-        src = idx[mask]
-        D[:, src - m_w] = F.add(D[:, src - m_w],
                                 F.mul(B[:, src], scale[None, :]))
     return D[0] if single else D
 

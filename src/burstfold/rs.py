@@ -6,11 +6,12 @@ decoding inside a window takes two transforms: the interpolant co of the
 received word times the window's vanishing polynomial lam, then the values
 of co's derivative, which divided by lam' give the erased symbols.  The
 composite basis is degree graded, so the word is consistent outside the
-window iff co has degree < k + |window|.  On a cyclic exponent window lam
-and lam' are sliding products of (alpha^d - 1), read in closed form.  Burst
-localization for cyclic (coset) point sets uses the
-syndrome-times-window-vanisher check polynomial whose root run on the group
-pins down the burst interval.
+window iff co has degree < k + |window|.  Window tables are closed forms,
+with no transform and no cache.  Burst localization for cyclic (coset)
+point sets uses the syndrome-times-window-vanisher check polynomial whose
+root run on the group pins down the burst interval; the composite basis is
+then the monomial one, so syndromes and root masks come from the code's own
+plan.
 
 When the chain has more than one multiplicative factor the enumeration is
 the decimated (butterfly) order, not the exponent order xi*alpha^(j-1); the
@@ -30,13 +31,14 @@ from .errors import (
     ConfigInfeasible,
     CyclicStructureAbsent,
     DimensionOutOfRange,
+    LevelOutOfRange,
     NoRootRun,
     NotACodeword,
     WindowTooLong,
 )
-from .fields import AffineGroupSpec, Field, infer_subfield_order
+from .fields import Field
 from .folding import row_dims
-from .gfft import GfftPlan, composite_derivative, plan_build
+from .gfft import GfftPlan, composite_derivative
 
 
 def _require_cyclic(plan: GfftPlan):
@@ -57,9 +59,8 @@ class RsCode:
         self.field: Field = plan.field
         self.n = plan.n
         self.k = k
-        self._unit_plan = None
         self._lam1 = None
-        self._delta = None
+        self._xi_inv_pows = None
 
     # -- cyclic structure --
 
@@ -110,29 +111,17 @@ class RsCode:
     # -- burst localization tables (cyclic) --
 
     def _ensure_locator_tables(self):
-        xi, alpha, exps, pos_of = _require_cyclic(self.plan)
-        if self._unit_plan is None:
+        xi = _require_cyclic(self.plan)[0]
+        if self._lam1 is None:
             F = self.field
-            n = self.n
-            group = AffineGroupSpec(
-                t=n, ell=infer_subfield_order(F, n), w_basis=[], gamma=1,
-                t_factors=self.plan.factors, t_generator=alpha)
-            self._unit_plan = plan_build(F, group)
-            r = n - self.k
+            r = self.n - self.k
             nat = self.natural_points()
             lam1 = np.zeros(max(r, 1), dtype=np.int64)
             lam1[0] = 1
-            for j in range(r - 1):
-                shifted = np.zeros_like(lam1)
-                shifted[1:] = lam1[:-1]
-                lam1 = F.sub(lam1, F.mul(shifted, int(nat[j])))
+            for j in range(r - 1):  # times (1 - nat[j] x)
+                lam1[1:] = F.sub(lam1[1:], F.mul(lam1[:-1], int(nat[j])))
             self._lam1 = lam1
-            # delta_j = p_j / (n * xi^n): inverse of the node-difference
-            # product for the coset x^n - xi^n
-            n_elt = n % F.p
-            denom = F.mul(n_elt, F.pow(xi, n))
-            self._delta = F.mul(nat, F.inv(denom))
-        return self._unit_plan
+            self._xi_inv_pows = F.geometric(F.inv(xi), self.n)
 
 
 def row_code(plan: GfftPlan, k: int) -> RsCode:
@@ -148,27 +137,32 @@ def row_code(plan: GfftPlan, k: int) -> RsCode:
 # Window vanishing polynomials
 # ---------------------------------------------------------------------------
 
-# Windows kept per plan; the least recently used one is dropped beyond this.
-WINDOW_CACHE_SIZE = 64
-
-
 def plan_window_tables(plan: GfftPlan, start: int, length: int):
-    """Cached (mask, lam_values, lam_derivative_values) for the index window
-    [start, start+length) of a plan.  The plan keeps the WINDOW_CACHE_SIZE
-    most recently used windows."""
-    key = (start, length)
-    cache = plan._window_cache
-    tables = cache.pop(key, None)
-    if tables is None:
-        mask = np.zeros(plan.n, dtype=bool)
-        mask[start:start + length] = True
-        lam = window_vanisher_values(plan, start, length)
-        lamp = plan.forward(composite_derivative(plan, plan.inverse(lam)))
-        tables = (mask, lam, lamp)
-        if len(cache) >= WINDOW_CACHE_SIZE:
-            del cache[next(iter(cache))]
-    cache[key] = tables  # (re)inserted last: dicts keep insertion order
-    return tables
+    """(mask, lam_values, lam_derivative_values) for the index window
+    [start, start+length) of a plan, lam' on the window and 0 elsewhere.
+    lam is the product of the block pieces P_B, each vanishing exactly on
+    its block B, so on B lam' = P_B' * (the product of the other pieces).
+    With (w, cs) = plan.deriv_info, P_B' = gen[l]' is cs[l] at a level
+    l <= w, and R cs[w] gen[w]^(R-1) above, where gen[l] = gen[w]^R."""
+    blocks = _window_blocks(plan, start, length)
+    if plan.deriv_info is None:
+        raise LevelOutOfRange("plan carries no differentiation structure")
+    w, cs = plan.deriv_info
+    F, n = plan.field, plan.n
+    mask = np.zeros(n, dtype=bool)
+    mask[start:start + length] = True
+    rest = np.ones(n, dtype=np.int64)  # the pieces not vanishing there
+    dpiece = np.zeros(n, dtype=np.int64)  # 0 off the window
+    for lev, cur, piece in blocks:
+        rest = F.mul(rest, np.where(piece == 0, 1, piece))
+        blk = slice(cur, cur + plan.ms[lev])
+        if lev <= w:
+            dpiece[blk] = cs[lev]
+        else:
+            R = plan.ms[lev] // plan.ms[w]
+            dpiece[blk] = F.mul(F.mul(R % F.p, cs[w]),
+                                F.pow(plan.gen[w][blk], R - 1))
+    return mask, np.where(mask, 0, rest), F.mul(dpiece, rest)
 
 
 def cyclic_window_tables(plan: GfftPlan, start: int, length: int):
@@ -199,30 +193,29 @@ def cyclic_window_tables(plan: GfftPlan, start: int, length: int):
     return on[exps], lam[exps], lamp[exps]  # exponent -> enumeration order
 
 
+def _window_blocks(plan: GfftPlan, start: int, length: int):
+    """(level, first index, piece) for the aligned chain blocks that tile
+    points[start:start+length]: a full level-s block is the root set of the
+    piece gen[s] - (its value there), at most O(max_radix * depth) pieces."""
+    if not (0 <= start and start + length <= plan.n):
+        raise WindowTooLong("window exceeds the point range")
+    F = plan.field
+    blocks = []
+    cur, end = start, start + length
+    while cur < end:
+        lev = next(s for s in range(plan.depth, -1, -1)
+                   if cur % plan.ms[s] == 0 and cur + plan.ms[s] <= end)
+        blocks.append((lev, cur, F.sub(plan.gen[lev], int(plan.gen[lev][cur]))))
+        cur += plan.ms[lev]
+    return blocks
+
+
 def window_vanisher_values(plan: GfftPlan, start: int, length: int) -> np.ndarray:
     """Values of the vanishing polynomial of points[start:start+length] at all
-    plan points, assembled from aligned chain blocks: a full level-s block is
-    the root set of (x_s - its value), so the window factors into at most
-    O(max_radix * depth) such terms."""
-    F = plan.field
-    n = plan.n
-    if not (0 <= start and start + length <= n):
-        raise WindowTooLong("window exceeds the point range")
-    lam = np.ones(n, dtype=np.int64)
-    cur = start
-    end = start + length
-    while cur < end:
-        size = 1
-        lev = 0
-        for s in range(plan.depth, -1, -1):
-            m = plan.ms[s]
-            if cur % m == 0 and cur + m <= end:
-                size, lev = m, s
-                break
-        const = int(plan.gen[lev][cur])
-        piece = F.sub(plan.gen[lev], const)
-        lam = F.mul(lam, piece)
-        cur += size
+    plan points: the product of the window's block pieces."""
+    lam = np.ones(plan.n, dtype=np.int64)
+    for _, _, piece in _window_blocks(plan, start, length):
+        lam = plan.field.mul(lam, piece)
     return lam
 
 
@@ -281,21 +274,17 @@ def erasure_decode(code: RsCode, received, window):
 # ---------------------------------------------------------------------------
 
 def syndrome(code: RsCode, received) -> np.ndarray:
-    """Weighted power sums S_i = sum_j r_j delta_j p_j^i for i < n-k, where
-    p_j runs in exponent order; all-zero iff received is a codeword."""
+    """S_i = c_(n-1-i) for i < n-k, the top coefficients of the received
+    word's interpolant c, which are the power sums (1/n) sum_j r_j
+    p_j^-(n-1-i); all-zero iff received is a codeword."""
     return _syndromes(code, np.asarray(received, dtype=np.int64)[None])[0]
 
 
 def _syndromes(code: RsCode, rcv_plan_order: np.ndarray) -> np.ndarray:
-    unit = code._ensure_locator_tables()
-    F = code.field
-    xi, _, _, pos_of = code.plan.cyclic()
-    r = code.n - code.k
-    uvals = unit.forward(F.mul(rcv_plan_order[:, pos_of],
-                               code._delta[None, :]))
-    xi_pows = F.geometric(xi, max(r, 1))
-    # the unit plan's value at exponent i sits at position pos_of[i]
-    return F.mul(uvals[:, pos_of[:r]], xi_pows[None, :r])
+    # on a cyclic coset every generator is a power of x, so the composite
+    # basis is the monomial one
+    code._ensure_locator_tables()
+    return code.plan.inverse(rcv_plan_order)[:, :code.k - 1:-1]
 
 
 def check_polynomial(code: RsCode, synd: np.ndarray) -> np.ndarray:
@@ -306,14 +295,15 @@ def check_polynomial(code: RsCode, synd: np.ndarray) -> np.ndarray:
 
 
 def _root_mask(code: RsCode, gamma: np.ndarray) -> np.ndarray:
-    """mask[t, e] = True iff Gamma_t(alpha^e) == 0."""
-    unit = code._ensure_locator_tables()
+    """mask[t, e] = True iff Gamma_t(alpha^e) == 0, read off the plan's
+    values of Gamma~_i = Gamma_i xi^-i: Gamma~(xi alpha^e) = Gamma(alpha^e)."""
+    code._ensure_locator_tables()
     _, _, exps, _ = code.plan.cyclic()
+    width = gamma.shape[1]
     pad = np.zeros((gamma.shape[0], code.n), dtype=np.int64)
-    pad[:, :gamma.shape[1]] = gamma
-    vals = unit.forward(pad)
+    pad[:, :width] = code.field.mul(gamma, code._xi_inv_pows[:width])
     mask = np.empty((gamma.shape[0], code.n), dtype=bool)
-    mask[:, exps] = vals == 0
+    mask[:, exps] = code.plan.forward(pad) == 0
     return mask
 
 

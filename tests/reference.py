@@ -13,12 +13,17 @@ cyclic_window_tables_nodes and erasure_fill_3t are the cyclic window tables
 and the fill that rs replaced by closed forms: the window's vanisher
 expanded from its nodes (vanisher_from_nodes) and pushed through two
 transforms, and a fill that checks its candidate with a third transform;
-the two decode loops run on them.
+the two decode loops run on them.  syndromes_unit and root_mask_unit are the
+locator through a second "unit" plan on the subgroup, with the weights
+delta_j, that rs replaced by the code's own transforms; plan_window_tables_2t
+is the index-window build that rs replaced by a closed form: lam from its
+node product, lam' through two transforms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +34,8 @@ from burstfold.errors import (
     NotACodeword,
     WindowTooLong,
 )
-from burstfold.fields import Field
-from burstfold.gfft import GfftPlan, composite_derivative
+from burstfold.fields import AffineGroupSpec, Field, infer_subfield_order
+from burstfold.gfft import GfftPlan, composite_derivative, plan_build
 
 
 def poly_trim(coeffs) -> list[int]:
@@ -222,6 +227,58 @@ def cyclic_window_tables_nodes(plan, start: int, length: int):
     return mask, lam, lamp
 
 
+def plan_window_tables_2t(plan, start: int, length: int):
+    """(mask, lam, lam') of the index window [start, start+length): lam is
+    the node product evaluated by Horner's rule, lam' the derivative of
+    lam's interpolant through composite_derivative and two transforms."""
+    F = plan.field
+    mask = np.zeros(plan.n, dtype=bool)
+    mask[start:start + length] = True
+    coeffs = vanisher_from_nodes(F, plan.points[start:start + length])
+    lam = poly_eval(F, coeffs.tolist(), plan.points)
+    lamp = plan.forward(composite_derivative(plan, plan.inverse(lam)))
+    return mask, lam, lamp
+
+
+@lru_cache(maxsize=None)
+def unit_locator(code):
+    """The unit plan on the subgroup <alpha>, over the code's chain factors,
+    and the weights delta_j = p_j / (n xi^n) in exponent order: the inverse
+    of the node-difference product for the coset x^n - xi^n."""
+    F = code.field
+    xi, alpha, _, _ = code.plan.cyclic()
+    n = code.n
+    unit = plan_build(F, AffineGroupSpec(
+        t=n, ell=infer_subfield_order(F, n), w_basis=[], gamma=1,
+        t_factors=code.plan.factors, t_generator=alpha))
+    delta = F.mul(code.natural_points(),
+                  F.inv(F.mul(n % F.p, F.pow(xi, n))))
+    return unit, delta
+
+
+def syndromes_unit(code, rcv_plan_order):
+    """Weighted power sums S_i = sum_j r_j delta_j p_j^i for i < n-k, with
+    p_j in exponent order, through the unit plan."""
+    unit, delta = unit_locator(code)
+    F = code.field
+    xi, _, _, pos_of = code.plan.cyclic()
+    r = code.n - code.k
+    uvals = unit.forward(F.mul(rcv_plan_order[:, pos_of], delta[None, :]))
+    # the unit plan's value at exponent i sits at position pos_of[i]
+    return F.mul(uvals[:, pos_of[:r]], F.geometric(xi, max(r, 1))[None, :r])
+
+
+def root_mask_unit(code, gamma):
+    """mask[t, e] = True iff Gamma_t(alpha^e) == 0, through the unit plan."""
+    unit, _ = unit_locator(code)
+    _, _, exps, _ = code.plan.cyclic()
+    pad = np.zeros((gamma.shape[0], code.n), dtype=np.int64)
+    pad[:, :gamma.shape[1]] = gamma
+    mask = np.empty((gamma.shape[0], code.n), dtype=bool)
+    mask[:, exps] = unit.forward(pad) == 0
+    return mask
+
+
 def erasure_fill_3t(plan, received, mask, lam_vals, lamp_vals, k: int):
     """Three-transform erasure fill of one word or a batch: returns
     (candidates, coefficients of the candidates, ok), ok when the
@@ -252,17 +309,18 @@ def erasure_fill_3t(plan, received, mask, lam_vals, lamp_vals, k: int):
 
 
 def wu_decode_batch_loop(code, received, e: int = 1):
-    """rs.wu_decode_batch one row at a time: a WuOutcome per row, rows
-    grouped by window label in a dict, one fill per label."""
+    """rs.wu_decode_batch one row at a time, over the unit-plan locator: a
+    WuOutcome per row, rows grouped by window label in a dict, one fill per
+    label."""
     n, k = code.n, code.k
     r = n - k
     rcv = np.asarray(received, dtype=np.int64)
     B = rcv.shape[0]
-    synd = rs._syndromes(code, rcv)
+    synd = syndromes_unit(code, rcv)
     no_err = np.all(synd == 0, axis=1)
     gamma = rs.check_polynomial(code, synd)
     gamma_zero = np.all(gamma == 0, axis=1) & ~no_err
-    mask = rs._root_mask(code, gamma)
+    mask = root_mask_unit(code, gamma)
     mask[no_err | gamma_zero] = False
     best, btop, amb = rs._cyclic_runs(mask)
     results = [None] * B

@@ -362,6 +362,63 @@ def test_burst_length_outside_word_exit_code(tmp_path, capsys, length):
     assert err.count(f"burst length {length} outside 0..255") == 5
 
 
+@pytest.mark.parametrize("field,group,why", [
+    ("2^8:0x11d", "t=abc", "is not key=value pairs"),
+    ("abc", G255, "is not p, p^d or p^d:0xMOD"),
+    ("2^0", G255, "extension degree must be >= 1"),
+    ("2^8:0x11d", "t", "is not key=value pairs"),
+    ("2^8:0x11d", "t=1,wdim=2,wbasis=0x1", "wbasis length disagrees"),
+    # a chain whose product is not t would build a code on fewer points
+    ("2^8:0x11d", "t=255,gamma=0x1,tfactors=3", "whose product is t=255"),
+    ("2^8:0x11d", "t=255,gamma=0x1,tfactors=15;3", "whose product is t=255"),
+])
+def test_malformed_spec_exit_code(tmp_path, capsys, field, group, why):
+    mp, cp = str(tmp_path / "m.txt"), str(tmp_path / "c.txt")
+    write_msg(mp, [1])
+    assert main(["encode", "--field", field, "--group", group, "--k", "1",
+                 "--in", mp, "--out", cp]) == 2
+    assert why in capsys.readouterr().err
+    assert not os.path.exists(cp)
+
+
+def test_malformed_file_header_exit_code(tmp_path, capsys):
+    p = tmp_path / "w.txt"
+    p.write_text("# gf 2 8 zz n=3\n1\n2\n3\n")
+    assert main(["corrupt", "--field", "2^8:0x11d", "--burst-len", "1",
+                 "--in", str(p), "--out", "-"]) == 2
+    assert "bad file header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", ["300", "-2", "254"])
+def test_corrupt_start_outside_word_exit_code(tmp_path, capsys, start):
+    wp = str(tmp_path / "w.txt")
+    write_msg(wp, np.arange(255))
+    assert main(["corrupt", "--field", "2^8:0x11d", "--burst-len", "3",
+                 "--start", start, "--in", wp, "--out", "-"]) == 2
+    assert f"burst start {start} outside 0..252" in capsys.readouterr().err
+
+
+def test_missing_input_and_unwritable_output_exit_code(tmp_path, capsys):
+    mp = str(tmp_path / "m.txt")
+    write_msg(mp, [1, 2, 3])
+    base = ["encode", "--field", "2^4", "--group", "t=15,gamma=0x1",
+            "--k", "3"]
+    missing = str(tmp_path / "absent.txt")
+    assert main([*base, "--in", missing, "--out", "-"]) == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
+    nowhere = str(tmp_path / "no_such_dir" / "c.txt")
+    assert main([*base, "--in", mp, "--out", nowhere]) == 2
+    assert f"cannot write {nowhere}" in capsys.readouterr().err
+
+
+def test_negative_trials_exit_code(capsys):
+    assert main(["mc", "--field", "2^8:0x11d", "--group", G255,
+                 "--k", "223", "--burst-len", "3", "--trials", "-1",
+                 "--out", "-"]) == 2
+    err = capsys.readouterr()
+    assert "--trials -1 is negative" in err.err and not err.out
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(999, 1000)
     assert 0.99 < lo < 0.999 < hi <= 1.0

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,22 @@ from burstfold.errors import (
     NotACodeword,
     WindowTooLong,
 )
-from burstfold.fields import AffineGroupSpec, get_field
-from burstfold.gfft import plan_build
+from burstfold.fields import (
+    AffineGroupSpec,
+    Field,
+    default_subspace_basis,
+    get_field,
+)
+from burstfold.gfft import GfftPlan, plan_build
 from burstfold.rs import (
     RsCode,
     _cyclic_runs,
+    _root_mask,
+    _syndromes,
     check_polynomial,
     erasure_decode,
     longest_root_run,
+    plan_window_tables,
     syndrome,
     window_vanisher_values,
     wu_decode,
@@ -25,11 +35,19 @@ from burstfold.rs import (
 from reference import (
     cyclic_runs_loop,
     lagrange_interpolate,
+    plan_window_tables_2t,
     poly_eval,
     poly_trim,
+    root_mask_unit,
+    syndromes_unit,
     vanisher_from_nodes,
 )
-from test_gfft import additive_plan_gf16, cyclic_plan_gf13, mixed_plan_gf64
+from test_gfft import (
+    additive_plan_gf16,
+    cyclic_plan_gf13,
+    mixed_plan_gf9,
+    mixed_plan_gf64,
+)
 
 
 def make_code_gf13(k=4):
@@ -319,3 +337,125 @@ def test_cyclic_runs_matches_loop():
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
+
+
+# -- the locator and the index windows against the oracles they replaced --
+
+# cyclic plans in several characteristics, chains, cosets and orders
+LOCATOR_PLANS = [
+    ("2^8:0x11d", "t=255,gamma=0x1"),
+    ("2^8:0x11d", "t=255,gamma=0x7,tfactors=15;17"),
+    ("2^8:0x11d", "t=85,gamma=0x3"),
+    ("13", "t=12,gamma=0x2"),
+    ("13", "t=12,gamma=0x2,tfactors=12"),
+    ("13", "t=12,gamma=0x2,tfactors=3;4"),
+    ("3^2", "t=8,gamma=0x1"),
+    ("2^4", "t=15,gamma=0x5"),
+    ("2^6", "t=63,gamma=0x1"),
+]
+
+
+def spec_plan(field_spec, group_spec):
+    F = Field.parse(field_spec)
+    return plan_build(F, AffineGroupSpec.parse(F, group_spec))
+
+
+@pytest.mark.parametrize("field_spec,group_spec", LOCATOR_PLANS)
+def test_locator_matches_unit_plan_oracle(field_spec, group_spec):
+    """Syndromes from the code's inverse transform and root masks from its
+    forward transform equal the unit-plan locator's, on random words and
+    on codewords with a cyclic burst (whose check polynomials have root
+    runs)."""
+    plan = spec_plan(field_spec, group_spec)
+    F, n = plan.field, plan.n
+    rng = np.random.default_rng(n)
+    for k in (1, max(1, n // 3), n - 1, n):
+        code = RsCode(plan, k)
+        words = code.encode(rng.integers(0, F.q, (50, k)))
+        words[:25] = rng.integers(0, F.q, (25, n))
+        for i in range(25, 50):
+            err = natural_burst(code, rng, int(rng.integers(0, n - k + 1)),
+                                int(rng.integers(0, n)))
+            words[i] = F.add(words[i], err)
+        synd = _syndromes(code, words)
+        assert np.array_equal(synd, syndromes_unit(code, words))
+        gamma = check_polynomial(code, synd)
+        assert np.array_equal(_root_mask(code, gamma),
+                              root_mask_unit(code, gamma))
+
+
+def list_16k_row_plan():
+    F = get_field(2, 16)
+    return plan_build(F, AffineGroupSpec.parse(F, "t=1,wdim=14")).sub_plan(10)
+
+
+def additive_plan_256():
+    F = get_field(2, 16)
+    return plan_build(F, AffineGroupSpec(
+        t=1, ell=2, w_basis=default_subspace_basis(F, 2, 8), gamma=0))
+
+
+WINDOW_PLANS = {
+    "list_16k_row": list_16k_row_plan,
+    "additive_256": additive_plan_256,
+    **{f"{f}/{g}": lambda s=(f, g): spec_plan(*s) for f, g in LOCATOR_PLANS},
+    **{make.__name__: lambda m=make: m()[1] for make in (
+        additive_plan_gf16, mixed_plan_gf64, mixed_plan_gf9)},
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_PLANS)
+def test_index_window_tables_match_two_transform_oracle(name):
+    """The closed-form index-window tables equal the node-product and
+    two-transform oracle on a plan and all its sub-plans: every window of
+    lengths 0..n-1 when n <= 20, sampled windows otherwise.  lam matches
+    everywhere, lam' on the window, and lam' is 0 off it."""
+    top = WINDOW_PLANS[name]()
+    rng = np.random.default_rng(top.n)
+    for plan in [top.sub_plan(s) for s in range(top.depth)]:
+        n = plan.n
+        if n <= 20:
+            windows = [(s, L) for L in range(n) for s in range(n - L + 1)]
+        else:
+            lengths = [0, 1, n - 1] + rng.integers(0, n, 40).tolist()
+            windows = [(int(rng.integers(0, n - L + 1)), L) for L in lengths]
+        for start, L in windows:
+            mask, lam, lamp = plan_window_tables(plan, start, L)
+            wmask, wlam, wlamp = plan_window_tables_2t(plan, start, L)
+            assert np.array_equal(mask, wmask), (n, start, L)
+            assert np.array_equal(lam, wlam), (n, start, L)
+            assert np.array_equal(lamp[mask], wlamp[mask]), (n, start, L)
+            assert not lamp[~mask].any(), (n, start, L)
+
+
+def test_locator_and_windows_build_no_plan_and_run_no_transform(
+        monkeypatch):
+    """A wu decode on a fresh code builds no second plan, and the index
+    window tables are built with no transform."""
+    calls = Counter()
+
+    def count(name):
+        fn = getattr(GfftPlan, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(GfftPlan, name, wrapped)
+
+    F, code = make_code_gf256()
+    rng = np.random.default_rng(27)
+    cw = code.encode(rng.integers(0, F.q, code.k))
+    count("__init__")
+    out = wu_decode(code, F.add(cw, natural_burst(code, rng, 20, 250)), e=2)
+    assert out.status == "ok" and np.array_equal(out.codeword, cw)
+    assert calls["__init__"] == 0  # no unit plan
+    plans = [additive_plan_256(), mixed_plan_gf64()[1], code.plan,
+             code.plan.sub_plan(1)]
+    for name in ("forward", "inverse", "tau_forward", "tau_inverse",
+                 "_ascend", "_descend"):
+        count(name)
+    calls.clear()
+    for plan in plans:
+        for L in (0, 1, plan.n // 2, plan.n - 1):
+            plan_window_tables(plan, (plan.n - L) // 3, L)
+    assert not calls
